@@ -8,7 +8,10 @@ discouraged, either by an initial cost supplied at construction or by
 weights pushed onto it during propagation.
 
 All mutation goes through a :class:`Trail` so that search can restore the
-exact prior state on backtrack.
+exact prior state on backtrack.  Each variable keeps its cheapest live value
+up to date through those mutations, and the trail keeps the running sum of
+those cheapest penalties over the unassigned variables: search reads its
+base bound from it in O(1) instead of rescanning every domain.
 """
 
 from __future__ import annotations
@@ -34,9 +37,16 @@ class Trail:
     Records value removals, penalty increments, assignments and occupancy
     bumps.  Undoing a suffix of entries restores the touched objects
     bit-for-bit.
+
+    ``base_bound`` is the running sum of the cheapest live penalty over the
+    unassigned variables.  Every mutation and every undo adds the change it
+    makes to its variable's term: an unassigned variable counts its
+    cheapest penalty, an assigned or wiped-out one counts 0.  Seed it with
+    the sum over the variables the trail will serve, and it stays equal to
+    that sum.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "base_bound")
 
     _REMOVE = 0
     _PENALTY = 1
@@ -45,6 +55,7 @@ class Trail:
 
     def __init__(self):
         self._entries: List[tuple] = []
+        self.base_bound = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -73,12 +84,17 @@ class Trail:
             tag = entry[0]
             if tag == Trail._REMOVE:
                 _, var, slot = entry
-                var._restore_value(slot)
+                var._live[slot] = True
+                var._count += 1
+                var._offer(slot, self)
             elif tag == Trail._PENALTY:
                 _, var, slot, delta = entry
                 var._penalty[slot] -= delta
+                var._offer(slot, self)
             elif tag == Trail._ASSIGN:
-                entry[1].assignment = None
+                var = entry[1]
+                var.assignment = None
+                self.base_bound += var._min_pen
             else:
                 _, counts, index, delta = entry
                 counts[index] -= delta
@@ -92,9 +108,15 @@ class PreferenceVariable:
     The initial costs passed at construction are kept frozen alongside the
     current penalties, so the share added by constraint propagation is
     always recoverable as ``penalty - initial_cost``.
+
+    The cheapest live ``(slot, penalty)`` is cached.  A removal or a penalty
+    increment rescans the domain only when it hits the cached slot; an undo
+    can only lower a penalty or bring a value back, so it updates the cache
+    with one comparison.  An empty domain caches ``(-1, 0)``.
     """
 
-    __slots__ = ("id", "assignment", "watchers", "_live", "_penalty", "_initial", "_count")
+    __slots__ = ("id", "assignment", "watchers", "_live", "_penalty", "_initial",
+                 "_count", "_min_slot", "_min_pen")
 
     def __init__(self, var_id: int, pairs: List[Tuple[int, int]]):
         if not pairs:
@@ -118,6 +140,8 @@ class PreferenceVariable:
         self._penalty = penalty
         self._initial = list(penalty)
         self._count = len(pairs)
+        cost, slot = min((cost, slot) for slot, cost in pairs)
+        self._min_slot, self._min_pen = slot, cost
 
     # -- queries ---------------------------------------------------------
 
@@ -161,14 +185,9 @@ class PreferenceVariable:
 
     def min_penalty(self) -> Tuple[int, int]:
         """(slot, penalty) with the smallest penalty; ties go to the smallest slot."""
-        best_slot = -1
-        best = None
-        for slot, pen in self.items():
-            if best is None or pen < best:
-                best_slot, best = slot, pen
-        if best is None:
+        if self._count == 0:
             raise ValueError(f"variable {self.id} has an empty domain")
-        return best_slot, best
+        return self._min_slot, self._min_pen
 
     # -- trailed mutation --------------------------------------------------
 
@@ -179,6 +198,8 @@ class PreferenceVariable:
         self._live[slot] = False
         self._count -= 1
         trail.push_remove(self, slot)
+        if slot == self._min_slot:
+            self._rescan(trail)
         if self._count == 0:
             raise DomainWipeout(self.id)
 
@@ -195,6 +216,8 @@ class PreferenceVariable:
             return
         self._penalty[slot] += delta
         trail.push_penalty(self, slot, delta)
+        if slot == self._min_slot:
+            self._rescan(trail)
 
     def assign(self, slot: int, trail: Trail) -> None:
         """Bind the variable to one slot and notify suspended constraints.
@@ -212,16 +235,35 @@ class PreferenceVariable:
                 self._live[other] = False
                 self._count -= 1
                 trail.push_remove(self, other)
+        trail.base_bound -= self._min_pen  # leaves the unassigned sum
+        self._min_slot, self._min_pen = slot, self._penalty[slot]
         self.assignment = slot
         trail.push_assign(self)
         for watcher in self.watchers:
             watcher(trail)
 
-    # -- trail internals ---------------------------------------------------
+    # -- cheapest-value cache -----------------------------------------------
 
-    def _restore_value(self, slot: int) -> None:
-        self._live[slot] = True
-        self._count += 1
+    def _rescan(self, trail: Trail) -> None:
+        """Recompute the cheapest live value after the cached one got dearer or died."""
+        best_slot, best = -1, 0
+        penalty = self._penalty
+        for slot, alive in enumerate(self._live):
+            if alive and (best_slot < 0 or penalty[slot] < best):
+                best_slot, best = slot, penalty[slot]
+        if self.assignment is None:
+            trail.base_bound += best - self._min_pen
+        self._min_slot, self._min_pen = best_slot, best
+
+    def _offer(self, slot: int, trail: Trail) -> None:
+        """A live slot got cheaper or came back: it may be the new cheapest."""
+        pen = self._penalty[slot]
+        best_slot = self._min_slot
+        best = self._min_pen
+        if best_slot < 0 or pen < best or (pen == best and slot < best_slot):
+            if self.assignment is None:
+                trail.base_bound += pen - best
+            self._min_slot, self._min_pen = slot, pen
 
 
 def new_pref_var(pairs: List[Tuple[int, int]], var_id: int = 0) -> PreferenceVariable:

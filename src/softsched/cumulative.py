@@ -167,30 +167,37 @@ def contribution_with_quota(
     ``quota[t]`` are summed.  Returns the exact rational total plus each
     activity's selected share.  Raises :class:`ResourceInfeasible` when a
     slot has fewer runnable members than its quota.
+
+    The ratios are ranked and summed as integers scaled by the lcm of the
+    member durations, which keeps them exact; only the returned total and
+    shares are built as fractions.
     """
     if members is None:
         members = resource.members
     info = [(aid, variables[aid], instance.activity(aid).duration)
             for aid in members]
-    total = Fraction(0)
-    selected: Dict[int, Fraction] = {}
+    scale = math.lcm(*(dur for _aid, _var, dur in info))
+    info = [(aid, var, dur, scale // dur) for aid, var, dur in info]
+    total = 0
+    selected: Dict[int, int] = {}
     for offset, need in enumerate(quota):
         if need <= 0:
             continue
         t = resource.t_min + offset
         ratios = []
-        for aid, var, dur in info:
+        for aid, var, dur, weight in info:
             excess = slot_excess(t, resource.t_min, var, dur, table[aid])
             if excess is not NOT_RUNNABLE:
-                ratios.append((Fraction(excess, dur), aid))
+                ratios.append((excess * weight, aid))
         if len(ratios) < need:
             raise ResourceInfeasible(resource.name, t, need, len(ratios))
         ratios.sort()
         for ratio, aid in ratios[:need]:
             if ratio:
                 total += ratio
-                selected[aid] = selected.get(aid, Fraction(0)) + ratio
-    return total, selected
+                selected[aid] = selected.get(aid, 0) + ratio
+    return (Fraction(total, scale),
+            {aid: Fraction(share, scale) for aid, share in selected.items()})
 
 
 def _quota(resource: Resource, mode: BoundMode) -> Sequence[int]:

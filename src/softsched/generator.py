@@ -7,12 +7,13 @@ count.  Courses are single-slot, every slot is a candidate start, and a
 share of the candidates carries a small random initial cost.
 
 One classroom pool covers the whole horizon: at most ``rooms`` courses per
-slot, no minimum, and an expected per-slot occupancy of
-round(occupancy_target * rooms).  The horizon itself is derived so that
-packing all courses into the rooms hits the occupancy target on average.
-The expected-occupancy figures are the modeler's claim, not a guarantee —
-only use the expected-mode lower bound on instances where that claim
-really holds.
+slot and no minimum.  The horizon itself is derived so that packing all
+courses into the rooms hits the occupancy target on average.  The expected
+per-slot occupancy is the pigeonhole bound max(0, courses - rooms *
+(horizon - 1)): the other slots seat at most rooms * (horizon - 1) of the
+single-slot courses, so every complete schedule puts at least the rest into
+each slot.  That claim holds for every schedule, so the expected-mode lower
+bound is sound on every generated instance.
 
 Same seed, same parameters: byte-identical instances.
 """
@@ -97,6 +98,6 @@ def generate(courses: int, rooms: int, occupancy_target: float, seed: int = 0,
         t_max=horizon - 1,
         cap_min=(0,) * horizon,
         cap_max=(rooms,) * horizon,
-        cap_exp=(round(occupancy_target * rooms),) * horizon,
+        cap_exp=(max(0, courses - rooms * (horizon - 1)),) * horizon,
     )
     return Instance(horizon, tuple(activities), pairs, (pool,))

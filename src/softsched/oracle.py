@@ -33,12 +33,15 @@ class OracleResult:
 
     ``optimum`` is None when no assignment passes the hard checks,
     an int (total penalty) for the WEIGHTED objective, and an exact
-    Fraction for FUZZY.  ``optima`` lists every assignment attaining it.
+    Fraction for FUZZY.  ``witness`` is the first assignment in enumeration
+    order attaining it (None when infeasible) and ``count`` the number of
+    assignments attaining it.
     """
 
     objective: Objective
     optimum: Union[int, Fraction, None]
-    optima: Tuple[Dict[int, int], ...]
+    witness: Optional[Dict[int, int]]
+    count: int
     evaluated: int
 
     @property
@@ -92,7 +95,8 @@ def enumerate_optimum(instance: Instance,
 
     minimize = objective is Objective.WEIGHTED
     best = None  # total cost for WEIGHTED, worst incident violation for FUZZY
-    optima = []
+    witness = None
+    count = 0
     evaluated = 0
 
     for combo in itertools.product(*(a.domain for a in acts)):
@@ -132,18 +136,18 @@ def enumerate_optimum(instance: Instance,
             score = worst
         if best is None or score < best:
             best = score
-            optima = [slots]
+            witness = slots
+            count = 1
         elif score == best:
-            optima.append(slots)
+            count += 1
 
     if best is None:
-        return OracleResult(objective, None, (), evaluated)
-    assignments = tuple({acts[i].id: s for i, s in enumerate(slots)}
-                        for slots in optima)
+        return OracleResult(objective, None, None, 0, evaluated)
+    assignment = {acts[i].id: s for i, s in enumerate(witness)}
     if minimize:
-        return OracleResult(objective, best, assignments, evaluated)
+        return OracleResult(objective, best, assignment, count, evaluated)
     return OracleResult(objective, 1 - Fraction(best, m * (n - 1)),
-                        assignments, evaluated)
+                        assignment, count, evaluated)
 
 
 class BoundViolation(SchedulingError):
@@ -201,6 +205,6 @@ def verify_bound(instance: Instance, name: str = "instance",
             continue
         if bound is None or result.optimum - bound < 0:
             raise BoundViolation(name, mode, bound,
-                                 result.optimum, result.optima[0])
+                                 result.optimum, result.witness)
         slacks[mode] = result.optimum - bound
     return BoundReport(name, result.feasible, result.optimum, bounds, slacks)

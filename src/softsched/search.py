@@ -11,7 +11,12 @@ solution seen.
 Pruning combines the cost already committed (the penalties at assigned
 values), the cheapest-value sum over unassigned variables, and optionally
 the per-resource excess bound from :mod:`softsched.cumulative`, recomputed
-at every search depth that is a multiple of ``lb_period``.
+at every search depth that is a multiple of ``lb_period``.  The
+cheapest-value sum is not recomputed: every variable keeps its cheapest
+live value current through its trailed mutations, and the trail keeps the
+sum of those over the unassigned variables (``Trail.base_bound``), so the
+base bound costs O(1) per node.  The per-variable table the resource bound
+starts from is built only at the nodes where that bound runs.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from .core import PreferenceVariable, SchedulingError, Trail
 from .cumulative import BoundMode, ResourceInfeasible, contribution_with_quota
@@ -45,7 +50,6 @@ class SearchConfig:
     lb_mode: BoundMode = BoundMode.NONE
     lb_period: int = 1
     constrainedness: str = "count"          # "count" of arcs or their "weight" sum
-    seed: int = 0                           # reserved for randomized strategies
 
     def __post_init__(self):
         if self.time_limit is not None and self.time_limit <= 0:
@@ -171,6 +175,7 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     variables = {a.id: PreferenceVariable(a.id, list(a.domain))
                  for a in instance.activities}
     trail = Trail()
+    trail.base_bound = sum(var.min_penalty()[1] for var in variables.values())
     post_network(instance, variables, limit=config.violation_limit)
     live_resources = [_LiveResource(r) for r in instance.resources]
     holds: Dict[int, List[_LiveResource]] = {aid: [] for aid in variables}
@@ -187,17 +192,17 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     emitted = 0
     use_lb = config.lb_mode is not BoundMode.NONE
 
-    def lower_bound(depth: int) -> Fraction:
+    def lower_bound(depth: int) -> Union[int, Fraction]:
         """Cheapest-completion bound over the unassigned variables.
 
         Raises :class:`ResourceInfeasible` when some slot can no longer
         reach its required occupancy.
         """
-        table = {aid: var.min_penalty()[1]
-                 for aid, var in variables.items() if not var.is_assigned}
-        bound = Fraction(sum(table.values()))
+        bound = trail.base_bound
         if not use_lb or depth % config.lb_period != 0:
             return bound
+        table = {aid: var.min_penalty()[1]
+                 for aid, var in variables.items() if not var.is_assigned}
         for live in live_resources:
             r = live.resource
             declared = r.cap_min if config.lb_mode is BoundMode.MIN else r.cap_exp

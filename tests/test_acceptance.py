@@ -83,6 +83,23 @@ def test_c3_lower_bounds_never_exceed_the_optimum(corpus):
             assert all(s >= 0 for s in report.slacks.values()), name
 
 
+def test_c3_exp_bound_keeps_the_optimum_on_generated_instances():
+    """The generator's cap_exp is a sound claim, so solving under the EXP
+    bound reaches the same status and optimum as solving without a bound.
+    The 8/2/0.9 instances claim 2 courses per slot, so the bound prunes."""
+    cases = [((10, 3, 0.7), seed) for seed in range(8)]
+    cases += [((8, 2, 0.9), seed) for seed in range(60)]
+    for params, seed in cases:
+        inst = generate(*params, seed=seed)
+        if params == (8, 2, 0.9):
+            assert set(inst.resources[0].cap_exp) == {2}
+        plain = solve(inst)
+        bounded = solve(inst, SearchConfig(lb_mode=BoundMode.EXP))
+        assert bounded.status is plain.status, (params, seed)
+        assert plain.best is not None, (params, seed)
+        assert bounded.best.cost == plain.best.cost, (params, seed)
+
+
 def test_c4_threshold_filtering_is_exact(corpus):
     """Solving under a per-activity cap matches enumeration filtered by the
     same cap: binding caps shift the optimum, loose caps leave it alone."""

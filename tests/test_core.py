@@ -1,10 +1,12 @@
 """Domain store: liveness, penalties, and exact trail restoration."""
 
+import random
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from softsched import DomainWipeout, Trail, new_pref_var
+from softsched import DomainWipeout, Trail, new_pref_var, post_soft_disjunctive
 
 
 def snapshot(var):
@@ -189,3 +191,117 @@ def test_trail_round_trip(data):
     trail.undo_to(mark)
     assert snapshot(v) == base
     assert len(trail) == 0
+
+
+# -- the cached cheapest value and the trail's running base bound ----------
+
+
+def scratch_min(var):
+    """(slot, penalty) of the cheapest live value, by a full domain scan."""
+    penalty, slot = min((p, s) for s, p in var.items())
+    return slot, penalty
+
+
+def scratch_sum(variables):
+    """Cheapest penalties summed over unassigned, non-empty variables."""
+    return sum(scratch_min(v)[1] for v in variables if not v.is_assigned and len(v))
+
+
+def check_incremental_state(variables, trail):
+    for v in variables:
+        if len(v):
+            assert v.min_penalty() == scratch_min(v)
+        else:
+            with pytest.raises(ValueError):
+                v.min_penalty()
+    assert trail.base_bound == scratch_sum(variables)
+
+
+def random_network(rng):
+    """A few variables with soft non-overlap arcs between every pair, posted
+    under a random violation limit so propagation can remove values."""
+    size = rng.randint(2, 5)
+    durations = [rng.randint(1, 3) for _ in range(size)]
+    variables = []
+    for vid in range(size):
+        slots = rng.sample(range(7), rng.randint(1, 5))
+        variables.append(new_pref_var([(s, rng.randint(0, 3)) for s in slots], vid))
+    weights = {(a, b): rng.randint(1, 3)
+               for a in range(size) for b in range(a + 1, size)}
+    limit = rng.choice([None, 0, 1, 2])
+    for v in variables:
+        arcs = [(o, durations[o.id], weights[min(v.id, o.id), max(v.id, o.id)])
+                for o in variables if o is not v]
+        post_soft_disjunctive(v, durations[v.id], arcs, limit)
+    return variables
+
+
+def run_random_steps(rng, variables, steps):
+    """Random assign/propagate, penalty, removal and undo steps, checking the
+    incremental state after each; returns how many steps wiped a domain out."""
+    trail = Trail()
+    trail.base_bound = scratch_sum(variables)
+    start = [snapshot(v) for v in variables]
+    check_incremental_state(variables, trail)
+    marks = []
+    wipeouts = 0
+    for _step in range(steps):
+        kind = rng.choice(["assign", "assign", "penalty", "remove", "undo", "reset"])
+        var = rng.choice(variables)
+        mark = trail.mark()
+        try:
+            if kind == "assign":
+                free = [v for v in variables if not v.is_assigned and len(v)]
+                if free:
+                    var = rng.choice(free)
+                    marks.append(mark)
+                    var.assign(rng.choice(list(var.values())), trail)
+            elif kind == "penalty":
+                var.add_penalty(rng.randrange(8), rng.randint(0, 3), trail)
+            elif kind == "remove" and len(var):
+                marks.append(mark)
+                var.remove_value(rng.choice(list(var.values())), trail)
+            elif kind == "undo" and marks:
+                k = rng.randrange(len(marks))
+                trail.undo_to(marks[k])
+                del marks[k:]
+            elif kind == "reset":
+                trail.undo_to(0)
+                marks.clear()
+                assert [snapshot(v) for v in variables] == start
+        except DomainWipeout:
+            wipeouts += 1
+            check_incremental_state(variables, trail)
+            trail.undo_to(mark)  # as search does after a wipeout
+        check_incremental_state(variables, trail)
+    trail.undo_to(0)
+    check_incremental_state(variables, trail)
+    assert [snapshot(v) for v in variables] == start
+    return wipeouts
+
+
+def test_cached_minimum_and_running_sum_track_every_step():
+    """After every step of random sequences, including wipeouts under a
+    violation limit and undo_to(0), the cached cheapest values match a
+    domain scan and the trail's running sum matches a from-scratch sum."""
+    wipeouts = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        wipeouts += run_random_steps(rng, random_network(rng), 60)
+    assert wipeouts > 0
+
+
+def test_cached_minimum_follows_hits_on_the_cheapest_slot():
+    v = new_pref_var([(0, 2), (3, 1), (5, 1)])
+    trail = Trail()
+    trail.base_bound = 1
+    v.add_penalty(3, 4, trail)     # hits the cheapest: the tie at 5 takes over
+    assert v.min_penalty() == (5, 1) and trail.base_bound == 1
+    v.add_penalty(5, 2, trail)
+    assert v.min_penalty() == (0, 2) and trail.base_bound == 2
+    v.remove_value(0, trail)
+    assert v.min_penalty() == (5, 3) and trail.base_bound == 3
+    v.assign(5, trail)             # an assigned variable leaves the sum
+    assert v.min_penalty() == (5, 3) and trail.base_bound == 0
+    trail.undo_to(0)
+    assert v.min_penalty() == (3, 1) and trail.base_bound == 1

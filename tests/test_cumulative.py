@@ -1,5 +1,6 @@
 """Capacity checks and the expected-occupancy lower bound."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -149,3 +150,64 @@ def test_expected_quota_tightens_the_bound():
     assert resource_contribution(res, inst, variables, {1: 0, 2: 0}, BoundMode.MIN) == 0
     assert resource_contribution(res, inst, variables, {1: 0, 2: 0}, BoundMode.EXP) == 1
     assert combined_lower_bound(inst, variables, BoundMode.EXP) == 1
+
+
+def fraction_contribution(resource, instance, variables, table, quota):
+    """Reference ranking in exact fractions, ties by activity id."""
+    total = Fraction(0)
+    selected = {}
+    for offset, need in enumerate(quota):
+        if need <= 0:
+            continue
+        t = resource.t_min + offset
+        ratios = []
+        for aid in resource.members:
+            dur = instance.activity(aid).duration
+            excess = slot_excess(t, resource.t_min, variables[aid], dur, table[aid])
+            if excess is not NOT_RUNNABLE:
+                ratios.append((Fraction(excess, dur), aid))
+        if len(ratios) < need:
+            raise ResourceInfeasible(resource.name, t, need, len(ratios))
+        ratios.sort()
+        for ratio, aid in ratios[:need]:
+            if ratio:
+                total += ratio
+                selected[aid] = selected.get(aid, Fraction(0)) + ratio
+    return total, selected
+
+
+def test_quota_on_mixed_durations_matches_the_fraction_reference():
+    rng = random.Random(7)
+    checked = infeasible = 0
+    for _case in range(300):
+        acts = []
+        for aid in range(1, rng.randint(2, 7)):
+            dur = rng.choice([1, 2, 3, 4, 6])
+            starts = rng.sample(range(8), rng.randint(1, 4))
+            acts.append(Activity(aid, dur, 5,
+                                 tuple(sorted((s, rng.randint(0, 12)) for s in starts))))
+        t_min = rng.randint(0, 3)
+        t_max = t_min + rng.randint(0, 5)
+        width = t_max - t_min + 1
+        members = tuple(a.id for a in acts)
+        res = Resource("room", members, t_min, t_max, flat(0, width),
+                       flat(len(members), width), flat(0, width))
+        inst = make_instance(14, acts, [res])
+        variables = {a.id: new_pref_var(list(a.domain), a.id) for a in acts}
+        table = {a.id: rng.randint(0, 4) for a in acts}
+        quota = [rng.randint(0, 3) for _ in range(width)]
+        try:
+            want = fraction_contribution(res, inst, variables, table, quota)
+        except ResourceInfeasible as exc:
+            with pytest.raises(ResourceInfeasible) as got:
+                contribution_with_quota(res, inst, variables, table, quota)
+            assert (got.value.slot, got.value.needed, got.value.runnable) == (
+                exc.slot, exc.needed, exc.runnable)
+            infeasible += 1
+            continue
+        total, selected = contribution_with_quota(res, inst, variables, table, quota)
+        assert (total, selected) == want
+        assert isinstance(total, Fraction)
+        assert all(isinstance(share, Fraction) for share in selected.values())
+        checked += 1
+    assert checked >= 80 and infeasible >= 80

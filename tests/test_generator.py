@@ -27,7 +27,7 @@ def test_benchmark_shape():
     assert (pool.t_min, pool.t_max) == (0, 9)
     assert pool.cap_min == (0,) * 10
     assert pool.cap_max == (35,) * 10
-    assert pool.cap_exp == (26,) * 10
+    assert pool.cap_exp == (0,) * 10
 
 
 def test_enrollment_and_weight_conservation():
