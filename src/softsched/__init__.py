@@ -23,8 +23,8 @@ from .instance import (Activity, Instance, InstanceError, Resource, SoftPair,
 from .oracle import (BoundReport, BoundViolation, Objective, OracleResult,
                      enumerate_optimum, verify_bound)
 from .search import (Incumbent, SearchConfig, SolveResult, Status,
-                     order_values, restart_tightening, select_variable, solve,
-                     solve_min_worst_violation)
+                     order_values, rank_variables, restart_tightening,
+                     select_variable, solve, solve_min_worst_violation)
 
 __version__ = "0.1.0"
 
@@ -37,9 +37,9 @@ __all__ = [
     "base_lower_bound", "check_atleast", "check_cumulative_max",
     "combined_lower_bound", "contribution_with_quota", "enumerate_optimum",
     "generate", "new_pref_var", "order_values", "overlaps", "parse_instance",
-    "post_network", "post_soft_disjunctive", "resource_contribution",
-    "restart_tightening", "select_variable", "serialize_instance",
-    "slot_excess", "solve", "solve_min_worst_violation",
+    "post_network", "post_soft_disjunctive", "rank_variables",
+    "resource_contribution", "restart_tightening", "select_variable",
+    "serialize_instance", "slot_excess", "solve", "solve_min_worst_violation",
     "unit_capacity_expand", "update_min_weights", "verify_bound",
     "violation_profile", "violation_ratio", "weighted_violation",
     "worst_case_satisfaction",

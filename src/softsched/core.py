@@ -11,7 +11,9 @@ All mutation goes through a :class:`Trail` so that search can restore the
 exact prior state on backtrack.  Each variable keeps its cheapest live value
 up to date through those mutations, and the trail keeps the running sum of
 those cheapest penalties over the unassigned variables: search reads its
-base bound from it in O(1) instead of rescanning every domain.
+base bound from it in O(1) instead of rescanning every domain.  An
+assignment is one trail record that holds every slot it dropped and the
+cheapest value it replaced, so backtracking over it puts both back directly.
 """
 
 from __future__ import annotations
@@ -34,9 +36,15 @@ class DomainWipeout(SchedulingError):
 class Trail:
     """Reversible log of store mutations.
 
-    Records value removals, penalty increments, assignments and occupancy
-    bumps.  Undoing a suffix of entries restores the touched objects
-    bit-for-bit.
+    Keeps four kinds of record, undone newest first:
+
+    - a removal: one slot that left a variable's domain;
+    - a penalty increment: one slot's penalty and the amount added to it;
+    - an assignment: the variable, every slot the assignment dropped, and
+      the cheapest ``(slot, penalty)`` it had before;
+    - an occupancy bump: one counter of a resource and its increment.
+
+    Undoing a suffix of entries restores the touched objects bit-for-bit.
 
     ``base_bound`` is the running sum of the cheapest live penalty over the
     unassigned variables.  Every mutation and every undo adds the change it
@@ -70,34 +78,36 @@ class Trail:
     def push_penalty(self, var: "PreferenceVariable", slot: int, delta: int) -> None:
         self._entries.append((Trail._PENALTY, var, slot, delta))
 
-    def push_assign(self, var: "PreferenceVariable") -> None:
-        self._entries.append((Trail._ASSIGN, var))
-
     def push_occupancy(self, counts: List[int], index: int, delta: int) -> None:
         self._entries.append((Trail._OCCUPANCY, counts, index, delta))
 
     def undo_to(self, mark: int) -> None:
         """Rewind to a previous :meth:`mark`, newest entries first."""
         entries = self._entries
-        while len(entries) > mark:
-            entry = entries.pop()
+        for entry in reversed(entries[mark:]):
             tag = entry[0]
-            if tag == Trail._REMOVE:
+            if tag == Trail._PENALTY:
+                _, var, slot, delta = entry
+                var._penalty[slot] -= delta
+                var._offer(slot, self)
+            elif tag == Trail._REMOVE:
                 _, var, slot = entry
                 var._live[slot] = True
                 var._count += 1
                 var._offer(slot, self)
-            elif tag == Trail._PENALTY:
-                _, var, slot, delta = entry
-                var._penalty[slot] -= delta
-                var._offer(slot, self)
             elif tag == Trail._ASSIGN:
-                var = entry[1]
+                _, var, removed, min_slot, min_pen = entry
+                live = var._live
+                for slot in removed:
+                    live[slot] = True
+                var._count += len(removed)
+                var._min_slot, var._min_pen = min_slot, min_pen
                 var.assignment = None
-                self.base_bound += var._min_pen
+                self.base_bound += min_pen
             else:
                 _, counts, index, delta = entry
                 counts[index] -= delta
+        del entries[mark:]
 
 
 class PreferenceVariable:
@@ -212,7 +222,8 @@ class PreferenceVariable:
         """
         if delta < 0:
             raise ValueError("penalty delta must be >= 0")
-        if delta == 0 or not self.contains(slot):
+        live = self._live
+        if delta == 0 or not (0 <= slot < len(live) and live[slot]):
             return
         self._penalty[slot] += delta
         trail.push_penalty(self, slot, delta)
@@ -222,7 +233,8 @@ class PreferenceVariable:
     def assign(self, slot: int, trail: Trail) -> None:
         """Bind the variable to one slot and notify suspended constraints.
 
-        All other values are removed (trailed), then every watcher runs in
+        All other values are removed, and one trail record keeps them with
+        the cheapest value they replace.  Then every watcher runs in
         registration order before control returns.  Watchers may raise
         :class:`DomainWipeout`; the trail still covers everything done so far.
         """
@@ -230,15 +242,17 @@ class PreferenceVariable:
             raise ValueError(f"variable {self.id} is already assigned")
         if not self.contains(slot):
             raise ValueError(f"slot {slot} not in domain of variable {self.id}")
-        for other in list(self.values()):
-            if other != slot:
-                self._live[other] = False
-                self._count -= 1
-                trail.push_remove(self, other)
+        live = self._live
+        removed = [other for other, alive in enumerate(live)
+                   if alive and other != slot]
+        for other in removed:
+            live[other] = False
+        self._count = 1
+        trail._entries.append(
+            (Trail._ASSIGN, self, removed, self._min_slot, self._min_pen))
         trail.base_bound -= self._min_pen  # leaves the unassigned sum
         self._min_slot, self._min_pen = slot, self._penalty[slot]
         self.assignment = slot
-        trail.push_assign(self)
         for watcher in self.watchers:
             watcher(trail)
 

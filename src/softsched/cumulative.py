@@ -139,11 +139,12 @@ def slot_excess(t: int, window_start: int, var: PreferenceVariable,
     window start.  Returns :data:`NOT_RUNNABLE` when no such start is live,
     otherwise max(0, cheapest covering penalty - floor).
     """
-    lo = max(window_start, t - duration + 1)
+    live = var._live
+    penalty = var._penalty
     best = None
-    for s in range(lo, t + 1):
-        if var.contains(s):
-            p = var.penalty(s)
+    for s in range(max(window_start, t - duration + 1, 0), min(t + 1, len(live))):
+        if live[s]:
+            p = penalty[s]
             if best is None or p < best:
                 best = p
     if best is None:

@@ -5,11 +5,12 @@ preference that their execution intervals not intersect.  The constraint is
 event-driven: it stays suspended on a start variable and fires exactly when
 that variable is instantiated, pushing the arc weight onto every live value
 of each not-yet-instantiated neighbor that would overlap the chosen
-interval.  Charging violations only toward uninstantiated neighbors counts
-every violated pair exactly once — on the endpoint instantiated later — so
-the penalties sitting at the assigned values of a complete assignment sum to
-the initial costs plus the total weighted violation, regardless of
-instantiation order.
+interval.  A firing visits only the window of neighbor starts that can
+overlap that interval, not the neighbor's whole slot grid.  Charging
+violations only toward uninstantiated neighbors counts every violated pair
+exactly once — on the endpoint instantiated later — so the penalties
+sitting at the assigned values of a complete assignment sum to the initial
+costs plus the total weighted violation, regardless of instantiation order.
 
 The evaluators at the bottom are pure functions over (instance, complete
 assignment) and back both solver bookkeeping and reporting.
@@ -49,15 +50,21 @@ class SoftDisjunctive:
         self.limit = limit
 
     def propagate(self, trail: Trail) -> None:
-        """Charge this activity's chosen interval to overlapping neighbor values."""
+        """Charge this activity's chosen interval to overlapping neighbor values.
+
+        A neighbor start s of duration d_other overlaps [start, start + d)
+        exactly when start - d_other < s < start + d, so only that window
+        of the neighbor's slot grid is visited, in ascending order.
+        """
         start = self.var.assignment
-        d = self.duration
+        end = start + self.duration
         limit = self.limit
         for other, d_other, weight in self.arcs:
-            if other.is_assigned:
+            if other.assignment is not None:
                 continue  # pair already charged when the neighbor fired
-            for slot in list(other.values()):
-                if overlaps(start, d, slot, d_other):
+            live = other._live
+            for slot in range(max(start - d_other + 1, 0), min(end, len(live))):
+                if live[slot]:
                     other.add_penalty(slot, weight, trail)
                     if limit is not None and other.violation_share(slot) > limit:
                         other.remove_value(slot, trail)

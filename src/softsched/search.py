@@ -2,11 +2,13 @@
 
 Depth-first search assigns variables most-constrained-first and values
 cheapest-first, propagating soft non-overlap weights and hard occupancy
-caps after every assignment.  Every complete assignment that beats the
-incumbent is emitted to a progress sink immediately, so the search can be
-stopped at any moment — by time limit, node limit, or a cancellation
-callback checked at node boundaries — and still hand back the best
-solution seen.
+caps after every assignment.  The variables are ranked by constrainedness
+once per solve, so picking the next one scans that ranking for the first
+group with an unassigned variable instead of sorting at every node.  Every
+complete assignment that beats the incumbent is emitted to a progress sink
+immediately, so the search can be stopped at any moment — by time limit,
+node limit, or a cancellation callback checked at node boundaries — and
+still hand back the best solution seen.
 
 Pruning combines the cost already committed (the penalties at assigned
 values), the cheapest-value sum over unassigned variables, and optionally
@@ -93,30 +95,49 @@ class _CapacityOverflow(SchedulingError):
     """Internal: an assignment pushed a resource past cap_max."""
 
 
-def select_variable(variables: Mapping[int, PreferenceVariable],
-                    metric: Mapping[int, int]) -> Optional[PreferenceVariable]:
-    """Most constrained uninstantiated variable, or None when all are set.
+Ranking = List[List[PreferenceVariable]]
+
+
+def rank_variables(variables: Mapping[int, PreferenceVariable],
+                   metric: Mapping[int, int]) -> Ranking:
+    """Variables grouped by equal constrainedness, most constrained group first.
 
     ``metric`` holds the static constrainedness score per variable (arc
-    count or summed arc weight).  Ties go to the variable whose cheapest
-    live value has the smaller penalty, then to the smaller identifier.
+    count or summed arc weight).  Inside a group the variables are in
+    ascending id order.
     """
-    best_var = None
-    best_key = None
+    groups: Dict[int, List[PreferenceVariable]] = {}
     for aid in sorted(variables):
-        var = variables[aid]
-        if var.is_assigned:
-            continue
-        key = (-metric[aid], var.min_penalty()[1], aid)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_var = var
-    return best_var
+        groups.setdefault(metric[aid], []).append(variables[aid])
+    return [groups[score] for score in sorted(groups, reverse=True)]
+
+
+def select_variable(ranking: Ranking) -> Optional[PreferenceVariable]:
+    """Most constrained uninstantiated variable, or None when all are set.
+
+    Takes the first group of :func:`rank_variables` that still has an
+    uninstantiated variable.  Inside it, ties go to the variable whose
+    cheapest live value has the smaller penalty, then to the smaller
+    identifier.
+    """
+    for group in ranking:
+        best_var = None
+        best = 0
+        for var in group:
+            if var.assignment is None:
+                pen = var.min_penalty()[1]
+                if best_var is None or pen < best:
+                    if pen == 0:
+                        return var  # nothing is cheaper, and ids ascend
+                    best_var, best = var, pen
+        if best_var is not None:
+            return best_var
+    return None
 
 
 def order_values(var: PreferenceVariable) -> List[int]:
     """Live slots, cheapest penalty first, ties by earlier slot."""
-    return sorted(var.values(), key=lambda slot: (var.penalty(slot), slot))
+    return [slot for _pen, slot in sorted((pen, slot) for slot, pen in var.items())]
 
 
 class _LiveResource:
@@ -182,7 +203,8 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     for live in live_resources:
         for aid in live.resource.members:
             holds[aid].append(live)
-    metric = _constrainedness(instance, config.constrainedness)
+    ranking = rank_variables(variables,
+                             _constrainedness(instance, config.constrainedness))
     durations = {a.id: a.duration for a in instance.activities}
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * len(variables) + 1000))
@@ -202,14 +224,14 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
         if not use_lb or depth % config.lb_period != 0:
             return bound
         table = {aid: var.min_penalty()[1]
-                 for aid, var in variables.items() if not var.is_assigned}
+                 for aid, var in variables.items() if var.assignment is None}
         for live in live_resources:
             r = live.resource
             declared = r.cap_min if config.lb_mode is BoundMode.MIN else r.cap_exp
             quota = [max(0, declared[i] - live.occ[i]) for i in range(len(declared))]
             if not any(quota):
                 continue
-            members = [aid for aid in r.members if not variables[aid].is_assigned]
+            members = [aid for aid in r.members if variables[aid].assignment is None]
             total, selected = contribution_with_quota(
                 r, instance, variables, table, quota, members)
             bound += total
@@ -234,7 +256,7 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
                 return
             if best is not None and cost + bound >= best.cost:
                 return
-        var = select_variable(variables, metric)
+        var = select_variable(ranking)
         if var is None:
             for live in live_resources:
                 if live.deficit_slot() is not None:

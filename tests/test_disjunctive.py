@@ -1,6 +1,8 @@
 """Soft non-overlap propagation and the assignment evaluators."""
 
+import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -8,8 +10,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from softsched import (
-    Activity, Instance, SoftPair, Trail,
-    activity_violation, new_pref_var, overlaps, post_network,
+    Activity, DomainWipeout, Instance, PreferenceVariable, SoftDisjunctive,
+    SoftPair, Trail, activity_violation, new_pref_var, overlaps, post_network,
     post_soft_disjunctive, violation_profile, violation_ratio,
     weighted_violation, worst_case_satisfaction,
 )
@@ -153,3 +155,108 @@ def test_propagation_sum_identity(data):
     total = sum(variables[aid].penalty(assignment[aid]) for aid in assignment)
     initial = sum(inst.by_id[aid].domain[picks[aid - 1]][1] for aid in assignment)
     assert total == initial + weighted_violation(inst, assignment)
+
+
+def full_scan_propagate(constraint, trail):
+    """Reference propagation: test every live neighbor slot with ``overlaps``.
+
+    This is the loop the overlap window replaced; the window version must
+    make exactly the same calls in exactly the same order.
+    """
+    start = constraint.var.assignment
+    d = constraint.duration
+    limit = constraint.limit
+    for other, d_other, weight in constraint.arcs:
+        if other.is_assigned:
+            continue
+        for slot in list(other.values()):
+            if overlaps(start, d, slot, d_other):
+                other.add_penalty(slot, weight, trail)
+                if limit is not None and other.violation_share(slot) > limit:
+                    other.remove_value(slot, trail)
+
+
+def mirrored_networks(rng, limit):
+    """Two copies of one random network with durations 1-3: the first posts
+    the library's propagation, the second the full-scan reference."""
+    size = rng.randint(2, 6)
+    durations = [rng.randint(1, 3) for _ in range(size)]
+    domains = [[(s, rng.randint(0, 3))
+                for s in sorted(rng.sample(range(9), rng.randint(1, 6)))]
+               for _ in range(size)]
+    weights = {(a, b): rng.randint(1, 3)
+               for a in range(size) for b in range(a + 1, size) if rng.random() < 0.8}
+    copies = []
+    for reference in (False, True):
+        variables = [new_pref_var(domains[vid], vid) for vid in range(size)]
+        for var in variables:
+            arcs = [(o, durations[o.id], weights[min(var.id, o.id), max(var.id, o.id)])
+                    for o in variables
+                    if (min(var.id, o.id), max(var.id, o.id)) in weights]
+            if reference:
+                constraint = SoftDisjunctive(var, durations[var.id], arcs, limit)
+                var.watchers.append(partial(full_scan_propagate, constraint))
+            else:
+                post_soft_disjunctive(var, durations[var.id], arcs, limit)
+        trail = Trail()
+        trail.base_bound = sum(v.min_penalty()[1] for v in variables)
+        copies.append((variables, trail))
+    return copies
+
+
+def store_state(variables, trail):
+    """Penalties, live sets, cached minima, base bound and trail entries,
+    with variables named by id so two copies compare equal."""
+    def named(entry):
+        return tuple(x.id if isinstance(x, PreferenceVariable) else x for x in entry)
+    return ([(v._penalty, list(v.values()), v._min_slot, v._min_pen, v.assignment)
+             for v in variables],
+            trail.base_bound, [named(entry) for entry in trail._entries])
+
+
+def test_window_propagation_matches_the_full_scan():
+    """Random assignments, with and without a violation limit, leave both
+    copies in the same state after every step, wipeouts included."""
+    wipeouts = charged = 0
+    for seed in range(80):
+        for limit in (None, 0, 1, 2):
+            rng = random.Random(seed)
+            copies = mirrored_networks(rng, limit)
+            marks = []
+            for _step in range(12):
+                variables = copies[0][0]
+                free = [v.id for v in variables if not v.is_assigned]
+                if marks and (not free or rng.random() < 0.25):
+                    k = rng.randrange(len(marks))
+                    mark = marks[k]
+                    del marks[k:]
+                    for _vars, trail in copies:
+                        trail.undo_to(mark)
+                    assert store_state(*copies[0]) == store_state(*copies[1])
+                    continue
+                if not free:
+                    break
+                vid = rng.choice(free)
+                slot = rng.choice(list(variables[vid].values()))
+                outcomes = []
+                for vars_, trail in copies:
+                    mark = trail.mark()
+                    try:
+                        vars_[vid].assign(slot, trail)
+                        outcomes.append(None)
+                    except DomainWipeout as wiped:
+                        outcomes.append(wiped.var_id)
+                assert outcomes[0] == outcomes[1]
+                assert store_state(*copies[0]) == store_state(*copies[1])
+                charged += len(copies[0][1]) - mark - 1
+                if outcomes[0] is not None:
+                    wipeouts += 1
+                    for _vars, trail in copies:
+                        trail.undo_to(mark)  # as search does after a wipeout
+                    assert store_state(*copies[0]) == store_state(*copies[1])
+                else:
+                    marks.append(mark)
+            for _vars, trail in copies:
+                trail.undo_to(0)
+            assert store_state(*copies[0]) == store_state(*copies[1])
+    assert wipeouts > 0 and charged > 0

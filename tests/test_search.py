@@ -7,8 +7,9 @@ import pytest
 
 from softsched import (
     Activity, BoundMode, Incumbent, Instance, Resource, SearchConfig,
-    SoftPair, Status, Trail, new_pref_var, order_values, restart_tightening,
-    select_variable, solve, solve_min_worst_violation, weighted_violation,
+    SoftPair, Status, Trail, generate, new_pref_var, order_values, post_network,
+    rank_variables, restart_tightening, select_variable, solve,
+    solve_min_worst_violation, weighted_violation,
 )
 
 
@@ -44,14 +45,60 @@ def test_select_variable_prefers_constrained_then_cheap():
         2: new_pref_var([(0, 2), (1, 3)], 2),
         3: new_pref_var([(0, 0), (1, 6)], 3),
     }
-    metric = {1: 3, 2: 5, 3: 5}
-    assert select_variable(variables, metric).id == 3
+    ranking = rank_variables(variables, {1: 3, 2: 5, 3: 5})
+    assert select_variable(ranking).id == 3
     trail_free = {2: variables[2], 3: variables[3]}
-    assert select_variable(trail_free, {2: 1, 3: 1}).id == 3
+    assert select_variable(rank_variables(trail_free, {2: 1, 3: 1})).id == 3
     tr = Trail()
     for v in variables.values():
         v.assign(v.min_penalty()[0], tr)
-    assert select_variable(variables, metric) is None
+    assert select_variable(ranking) is None
+
+
+def test_rank_variables_groups_by_descending_metric():
+    variables = {aid: new_pref_var([(0, 0)], aid) for aid in (4, 1, 3, 2)}
+    ranking = rank_variables(variables, {1: 2, 2: 5, 3: 2, 4: 5})
+    assert [[v.id for v in group] for group in ranking] == [[2, 4], [1, 3]]
+
+
+def test_select_variable_matches_the_reference_key():
+    """On random partial states, with ties in the metric under both "count"
+    and "weight", the ranking picks what the key (-metric, cheapest
+    penalty, id) picks over all unassigned variables."""
+    by_penalty = by_id = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(4, 9)
+        horizon = rng.randint(2, 4)
+        pairs = [(a, b, rng.randint(1, 3))
+                 for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                 if rng.random() < 0.5]
+        costs = {(i, t): rng.choice([0, 0, 1, 2])
+                 for i in range(1, n + 1) for t in range(horizon)}
+        inst = unit(n, horizon, pairs, costs)
+        for mode in ("count", "weight"):
+            metric = {aid: len(arcs) if mode == "count" else sum(w for _o, w in arcs)
+                      for aid, arcs in inst.incident.items()}
+            variables = {a.id: new_pref_var(list(a.domain), a.id)
+                         for a in inst.activities}
+            post_network(inst, variables)
+            ranking = rank_variables(variables, metric)
+            trail = Trail()
+            order = list(variables)
+            rng.shuffle(order)
+            for aid in order:
+                keys = sorted((-metric[i], v.min_penalty()[1], i)
+                              for i, v in variables.items() if not v.is_assigned)
+                assert select_variable(ranking).id == keys[0][2]
+                if len(keys) > 1 and keys[0][0] == keys[1][0]:
+                    if keys[0][1] < keys[1][1]:
+                        by_penalty += 1
+                    else:
+                        by_id += 1
+                var = variables[aid]
+                var.assign(rng.choice(list(var.values())), trail)
+            assert select_variable(ranking) is None
+    assert by_penalty > 0 and by_id > 0
 
 
 def test_order_values_cheapest_first():
@@ -200,3 +247,26 @@ def test_min_worst_violation_loop():
     spread = solve_min_worst_violation(roomy)
     assert spread.status is Status.OPTIMAL
     assert weighted_violation(roomy, spread.best.assignment) == 0
+
+
+def incumbent_trace(result, seen):
+    return result.status, result.nodes, [[inc.cost, inc.nodes] for inc in seen]
+
+
+def test_pinned_search_traces(corpus):
+    """Status, node count and every incumbent's (cost, node) on fixed
+    instances.  Any change to the order in which search visits nodes shows
+    here, not only a change between two runs of the same code."""
+    ladder = generate(30, 6, 0.7, 0)
+    seen = []
+    assert incumbent_trace(solve(ladder, sink=seen.append), seen) == (
+        Status.OPTIMAL, 5817, [[5, 30], [4, 255], [3, 1131], [2, 1369], [1, 4335]])
+    seen = []
+    assert incumbent_trace(solve_min_worst_violation(ladder, sink=seen.append), seen) == (
+        Status.OPTIMAL, 21244, [[5, 30], [4, 255], [3, 1131], [2, 1369], [1, 4335]])
+    name, mixed, _profile = corpus[195]   # durations 3, 2, 1, 1, 1, 3
+    assert name == "c195"
+    seen = []
+    exp = SearchConfig(lb_mode=BoundMode.EXP)
+    assert incumbent_trace(solve(mixed, exp, sink=seen.append), seen) == (
+        Status.OPTIMAL, 81, [[15, 7], [12, 21], [10, 45], [7, 61]])
