@@ -162,10 +162,6 @@ class PreferenceVariable:
         dom = ", ".join(f"{s}:{p}" for s, p in self.items())
         return f"PreferenceVariable({self.id}, {{{dom}}}, assigned={self.assignment})"
 
-    @property
-    def is_assigned(self) -> bool:
-        return self.assignment is not None
-
     def contains(self, slot: int) -> bool:
         return 0 <= slot < len(self._live) and self._live[slot]
 
@@ -279,7 +275,3 @@ class PreferenceVariable:
                 trail.base_bound += pen - best
             self._min_slot, self._min_pen = slot, pen
 
-
-def new_pref_var(pairs: List[Tuple[int, int]], var_id: int = 0) -> PreferenceVariable:
-    """Create an unassigned preference variable from (slot, initial cost) pairs."""
-    return PreferenceVariable(var_id, pairs)

@@ -14,9 +14,11 @@ per-slot count; EXP mode uses ``cap_exp`` and is the stronger bound — but it
 is only valid when ``cap_exp`` genuinely understates the occupancy of every
 feasible schedule, which is the caller's modelling obligation.
 
-Selected excesses feed back into the per-activity minimal-weight table so
-that several resources sharing activities do not double-count the same
-penalty.
+This module holds the per-resource step: :func:`contribution_with_quota`
+ranks and sums the excesses for an explicit per-slot quota.  The bound
+itself — quotas from the live occupancy, resources charged in turn over one
+shared minimal-weight table — is :func:`softsched.search.resource_bound`,
+the one function both search and ``verify_bound`` use.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceVariable, SchedulingError
-from .instance import Activity, Instance, Resource
+from .instance import Instance, Resource
 
 
 class BoundMode(Enum):
@@ -107,27 +109,8 @@ def check_atleast(resource: Resource, instance: Instance,
     return None
 
 
-def unit_capacity_expand(activity: Activity, required_capacity: int) -> List[Activity]:
-    """Views of one activity for a demand of several capacity units.
-
-    Occupancy counting treats each entry of a member list independently, so
-    listing the returned views (all sharing the activity's start and
-    duration) makes the activity consume ``required_capacity`` units per
-    executed slot.  The JSON instance format itself is unit-demand; this
-    helper is for models built in process.
-    """
-    if required_capacity < 1:
-        raise ValueError("required capacity must be >= 1")
-    return [activity] * required_capacity
-
-
 # ---------------------------------------------------------------------------
 # lower bound
-
-
-def base_lower_bound(table: Mapping[int, int], scope: Iterable[int]) -> int:
-    """Sum of the minimal expected weights over the scope activities."""
-    return sum(table[aid] for aid in scope)
 
 
 def slot_excess(t: int, window_start: int, var: PreferenceVariable,
@@ -199,67 +182,3 @@ def contribution_with_quota(
                 selected[aid] = selected.get(aid, 0) + ratio
     return (Fraction(total, scale),
             {aid: Fraction(share, scale) for aid, share in selected.items()})
-
-
-def _quota(resource: Resource, mode: BoundMode) -> Sequence[int]:
-    if mode is BoundMode.MIN:
-        return resource.cap_min
-    if mode is BoundMode.EXP:
-        return resource.cap_exp
-    raise ValueError(f"no quota for bound mode {mode}")
-
-
-def resource_contribution(
-    resource: Resource,
-    instance: Instance,
-    variables: Mapping[int, PreferenceVariable],
-    table: Mapping[int, int],
-    mode: BoundMode,
-) -> Fraction:
-    """The resource's whole-window lower-bound contribution in the given mode."""
-    total, _ = contribution_with_quota(
-        resource, instance, variables, table, _quota(resource, mode))
-    return total
-
-
-def update_min_weights(
-    resource: Resource,
-    instance: Instance,
-    variables: Mapping[int, PreferenceVariable],
-    table: Dict[int, int],
-    mode: BoundMode,
-) -> Dict[int, int]:
-    """Fold a resource's selected shares back into the minimal-weight table.
-
-    Each selected activity's share is rounded down so the table stays
-    integral; the mutated table is returned and must be handed to the next
-    resource so shared activities are not double-counted.
-    """
-    _, selected = contribution_with_quota(
-        resource, instance, variables, table, _quota(resource, mode))
-    for aid, share in selected.items():
-        table[aid] += math.floor(share)
-    return table
-
-
-def combined_lower_bound(
-    instance: Instance,
-    variables: Mapping[int, PreferenceVariable],
-    mode: BoundMode,
-) -> Fraction:
-    """Minimal penalties of all activities plus sequential resource contributions.
-
-    Resources are processed in declaration order, sharing one minimal-weight
-    table initialized from each variable's current cheapest value.
-    """
-    table = {a.id: variables[a.id].min_penalty()[1] for a in instance.activities}
-    bound = Fraction(base_lower_bound(table, table))
-    if mode is BoundMode.NONE:
-        return bound
-    for resource in instance.resources:
-        total, selected = contribution_with_quota(
-            resource, instance, variables, table, _quota(resource, mode))
-        bound += total
-        for aid, share in selected.items():
-            table[aid] += math.floor(share)
-    return bound

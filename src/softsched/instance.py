@@ -2,9 +2,10 @@
 
 An instance bundles a slot horizon, activities (start-time domains with
 initial costs), weighted soft non-overlap pairs, and discrete-capacity
-resources.  Parsing is strict: unknown fields, dangling identifiers and
-horizon violations are rejected with distinct error codes, and duplicate
-soft pairs are merged by summing their weights.
+resources.  Parsing is strict: unknown fields, dangling identifiers,
+horizon violations and slot grids beyond :data:`MAX_GRID_SLOTS` are
+rejected with distinct error codes, and duplicate soft pairs are merged by
+summing their weights.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from functools import cached_property
 from typing import Dict, List, Tuple, Union
 
 FORMAT_VERSION = 1
+
+#: Largest total slot grid an instance may need: the sum over activities of
+#: (latest start + 1).  Each variable stores three lists as long as its grid
+#: (about 24 bytes per slot), so this caps that storage near 48 MB.
+MAX_GRID_SLOTS = 2_000_000
 
 # Error codes carried by InstanceError.
 BAD_SYNTAX = "bad-syntax"
@@ -27,6 +33,7 @@ DUPLICATE_ID = "duplicate-id"
 DANGLING_ID = "dangling-id"
 HORIZON_OVERRUN = "horizon-overrun"
 BAD_CAPACITY = "bad-capacity"
+GRID_TOO_LARGE = "grid-too-large"
 
 
 class InstanceError(ValueError):
@@ -167,6 +174,7 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
 
     activities: List[Activity] = []
     seen_ids = set()
+    grid = 0  # slots of every variable's grid so far, see MAX_GRID_SLOTS
     for idx, node in enumerate(_want_list(root["activities"], "$.activities")):
         where = f"$.activities[{idx}]"
         obj = _want_object(node, where)
@@ -198,6 +206,12 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
             slots.add(slot)
             domain.append((slot, cost))
         domain.sort()
+        grid += domain[-1][0] + 1
+        if grid > MAX_GRID_SLOTS:
+            raise InstanceError(
+                GRID_TOO_LARGE, f"{where}.domain",
+                f"activities up to here need {grid} grid slots, "
+                f"more than the limit of {MAX_GRID_SLOTS}")
         activities.append(Activity(aid, duration, enrollment, tuple(domain)))
     activities.sort(key=lambda a: a.id)
 

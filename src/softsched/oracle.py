@@ -16,8 +16,9 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 from .core import PreferenceVariable, SchedulingError
-from .cumulative import BoundMode, ResourceInfeasible, combined_lower_bound
+from .cumulative import BoundMode, ResourceInfeasible
 from .instance import Instance
+from .search import resource_bound
 
 ENUMERATION_CAP = 10_000_000
 
@@ -182,21 +183,26 @@ class BoundReport:
 def verify_bound(instance: Instance, name: str = "instance",
                  modes: Tuple[BoundMode, ...] = (BoundMode.MIN, BoundMode.EXP),
                  cap: int = ENUMERATION_CAP) -> BoundReport:
-    """Check the resource lower bounds against the enumerated optimum.
+    """Check the root resource lower bounds against the enumerated optimum.
 
-    Returns the per-mode bounds and slacks; raises :class:`BoundViolation`
-    with a witness assignment if any bound overshoots the optimum or claims
-    a feasible instance infeasible.  A truly infeasible instance passes
-    vacuously.
+    The bound checked is the one search prunes with: the sum of every
+    variable's cheapest penalty plus :func:`softsched.search.resource_bound`
+    over empty resources.  Returns the per-mode bounds and slacks; raises
+    :class:`BoundViolation` with a witness assignment if any bound
+    overshoots the optimum or claims a feasible instance infeasible.  A
+    truly infeasible instance passes vacuously.
     """
     result = enumerate_optimum(instance, Objective.WEIGHTED, cap=cap)
     bounds: Dict[BoundMode, Optional[Fraction]] = {}
     slacks: Dict[BoundMode, Optional[Fraction]] = {}
+    variables = {a.id: PreferenceVariable(a.id, list(a.domain))
+                 for a in instance.activities}
+    cheapest = sum(var.min_penalty()[1] for var in variables.values())
+    empty = [[0] * (r.t_max - r.t_min + 1) for r in instance.resources]
     for mode in modes:
-        variables = {a.id: PreferenceVariable(a.id, list(a.domain))
-                     for a in instance.activities}
         try:
-            bound = combined_lower_bound(instance, variables, mode)
+            bound = Fraction(
+                cheapest + resource_bound(instance, variables, mode, empty))
         except ResourceInfeasible:
             bound = None
         bounds[mode] = bound

@@ -12,13 +12,15 @@ still hand back the best solution seen.
 
 Pruning combines the cost already committed (the penalties at assigned
 values), the cheapest-value sum over unassigned variables, and optionally
-the per-resource excess bound from :mod:`softsched.cumulative`, recomputed
-at every search depth that is a multiple of ``lb_period``.  The
-cheapest-value sum is not recomputed: every variable keeps its cheapest
-live value current through its trailed mutations, and the trail keeps the
-sum of those over the unassigned variables (``Trail.base_bound``), so the
-base bound costs O(1) per node.  The per-variable table the resource bound
-starts from is built only at the nodes where that bound runs.
+the resource bound :func:`resource_bound`, recomputed at every search depth
+that is a multiple of ``lb_period``.  The cheapest-value sum is not
+recomputed: every variable keeps its cheapest live value current through
+its trailed mutations, and the trail keeps the sum of those over the
+unassigned variables (``Trail.base_bound``), so the base bound costs O(1)
+per node.  :func:`resource_bound` is the only implementation of the
+resource bound: ``softsched.oracle.verify_bound`` checks the same function
+at the root, and its per-resource step comes from
+:mod:`softsched.cumulative`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from .core import PreferenceVariable, SchedulingError, Trail
 from .cumulative import BoundMode, ResourceInfeasible, contribution_with_quota
@@ -180,6 +182,42 @@ def _constrainedness(instance: Instance, mode: str) -> Dict[int, int]:
     return {aid: len(arcs) for aid, arcs in instance.incident.items()}
 
 
+def resource_bound(instance: Instance,
+                   variables: Mapping[int, PreferenceVariable],
+                   mode: BoundMode,
+                   occupancy: Sequence[Sequence[int]]) -> Union[int, Fraction]:
+    """Resource lower bound on the penalty the unassigned variables add.
+
+    ``occupancy`` holds, per resource of ``instance`` in declaration order,
+    how many assigned members occupy each slot of its window.  A slot's
+    quota is what the assigned members leave of the declared occupancy
+    (``cap_min`` in MIN mode, ``cap_exp`` in EXP mode), and the unassigned
+    members must cover it.  Resources are charged in declaration order over
+    one table of each unassigned variable's cheapest live penalty; each
+    charged share, rounded down, raises its variable's entry so that the
+    next resource does not count it again.  The result excludes that
+    cheapest-penalty sum itself, and is 0 in NONE mode.  Raises
+    :class:`ResourceInfeasible` when a quota cannot be covered.
+    """
+    if mode is BoundMode.NONE:
+        return 0
+    table = {aid: var.min_penalty()[1]
+             for aid, var in variables.items() if var.assignment is None}
+    bound = 0
+    for r, occ in zip(instance.resources, occupancy):
+        declared = r.cap_min if mode is BoundMode.MIN else r.cap_exp
+        quota = [max(0, declared[i] - occ[i]) for i in range(len(declared))]
+        if not any(quota):
+            continue
+        members = [aid for aid in r.members if variables[aid].assignment is None]
+        total, selected = contribution_with_quota(
+            r, instance, variables, table, quota, members)
+        bound += total
+        for aid, share in selected.items():
+            table[aid] += floor(share)
+    return bound
+
+
 def solve(instance: Instance, config: SearchConfig = SearchConfig(),
           sink: Optional[ProgressSink] = None,
           cancel: Optional[CancelCheck] = None) -> SolveResult:
@@ -213,31 +251,7 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     nodes = 0
     emitted = 0
     use_lb = config.lb_mode is not BoundMode.NONE
-
-    def lower_bound(depth: int) -> Union[int, Fraction]:
-        """Cheapest-completion bound over the unassigned variables.
-
-        Raises :class:`ResourceInfeasible` when some slot can no longer
-        reach its required occupancy.
-        """
-        bound = trail.base_bound
-        if not use_lb or depth % config.lb_period != 0:
-            return bound
-        table = {aid: var.min_penalty()[1]
-                 for aid, var in variables.items() if var.assignment is None}
-        for live in live_resources:
-            r = live.resource
-            declared = r.cap_min if config.lb_mode is BoundMode.MIN else r.cap_exp
-            quota = [max(0, declared[i] - live.occ[i]) for i in range(len(declared))]
-            if not any(quota):
-                continue
-            members = [aid for aid in r.members if variables[aid].assignment is None]
-            total, selected = contribution_with_quota(
-                r, instance, variables, table, quota, members)
-            bound += total
-            for aid, share in selected.items():
-                table[aid] += floor(share)
-        return bound
+    occupancy = [live.occ for live in live_resources]  # updated in place
 
     def at_boundary() -> None:
         if deadline is not None and time.monotonic() >= deadline:
@@ -249,13 +263,15 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
 
     def descend(depth: int, cost: int) -> None:
         nonlocal best, nodes, emitted
-        if best is not None or use_lb:
+        bound = trail.base_bound
+        if use_lb and depth % config.lb_period == 0:
             try:
-                bound = lower_bound(depth)
+                bound += resource_bound(instance, variables, config.lb_mode,
+                                        occupancy)
             except ResourceInfeasible:
                 return
-            if best is not None and cost + bound >= best.cost:
-                return
+        if best is not None and cost + bound >= best.cost:
+            return
         var = select_variable(ranking)
         if var is None:
             for live in live_resources:

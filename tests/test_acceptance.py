@@ -11,15 +11,20 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from softsched import (
-    BoundMode, Objective, SearchConfig, Status, Trail, enumerate_optimum,
-    generate, new_pref_var, parse_instance, post_network, serialize_instance,
-    solve, solve_min_worst_violation, verify_bound, violation_profile,
-    weighted_violation, worst_case_satisfaction,
+    BoundMode, Objective, SearchConfig, Status, enumerate_optimum, generate,
+    parse_instance, solve, solve_min_worst_violation, verify_bound,
 )
 from softsched.cli import main
+from softsched.core import PreferenceVariable, Trail
+from softsched.cumulative import ResourceInfeasible
+from softsched.disjunctive import (post_network, violation_profile,
+                                   weighted_violation, worst_case_satisfaction)
+from softsched.instance import serialize_instance
+from softsched.search import resource_bound
 
 ALL_MODES = (BoundMode.NONE, BoundMode.MIN, BoundMode.EXP)
 
@@ -27,7 +32,7 @@ ALL_MODES = (BoundMode.NONE, BoundMode.MIN, BoundMode.EXP)
 def replay_cost(instance, assignment, order):
     """Push the assignment through a fresh propagation network and read the
     assigned-value penalties back off the variables."""
-    variables = {a.id: new_pref_var(list(a.domain), a.id)
+    variables = {a.id: PreferenceVariable(a.id, list(a.domain))
                  for a in instance.activities}
     post_network(instance, variables)
     trail = Trail()
@@ -98,6 +103,65 @@ def test_c3_exp_bound_keeps_the_optimum_on_generated_instances():
         assert bounded.status is plain.status, (params, seed)
         assert plain.best is not None, (params, seed)
         assert bounded.best.cost == plain.best.cost, (params, seed)
+
+
+def test_c3_resource_bound_holds_at_interior_nodes(corpus):
+    """At seeded partial assignments, made the way search makes them, the
+    committed cost plus the base bound plus ``resource_bound`` never exceeds
+    the optimum of the instance with those activities fixed to their slots,
+    and ``ResourceInfeasible`` is raised only when that instance has no
+    feasible schedule.  Partial assignments over ``cap_max`` are skipped:
+    search never descends from them."""
+    rng = random.Random(6)
+    checked = refuted = charged = 0
+    for name, inst, prof in corpus:
+        if not prof.feasible:
+            continue
+        for _draw in range(3):
+            chosen = rng.sample(inst.activities,
+                                rng.randint(1, len(inst.activities) - 1))
+            fixed = {a.id: rng.choice(a.domain) for a in chosen}
+            variables = {a.id: PreferenceVariable(a.id, list(a.domain))
+                         for a in inst.activities}
+            trail = Trail()
+            trail.base_bound = sum(v.min_penalty()[1] for v in variables.values())
+            post_network(inst, variables)
+            committed = 0
+            for aid, (slot, _cost) in fixed.items():
+                variables[aid].assign(slot, trail)
+                committed += variables[aid].penalty(slot)
+            occupancy = []
+            for r in inst.resources:
+                occ = [0] * (r.t_max - r.t_min + 1)
+                for aid in r.members:
+                    if aid in fixed:
+                        start = fixed[aid][0]
+                        for t in range(max(start, r.t_min),
+                                       min(start + inst.activity(aid).duration,
+                                           r.t_max + 1)):
+                            occ[t - r.t_min] += 1
+                occupancy.append(occ)
+            if any(count > cap for r, occ in zip(inst.resources, occupancy)
+                   for count, cap in zip(occ, r.cap_max)):
+                continue
+            narrowed = replace(inst, activities=tuple(
+                replace(a, domain=(fixed[a.id],)) if a.id in fixed else a
+                for a in inst.activities))
+            optimum = enumerate_optimum(narrowed).optimum
+            for mode in (BoundMode.MIN, BoundMode.EXP):
+                try:
+                    extra = resource_bound(inst, variables, mode, occupancy)
+                except ResourceInfeasible:
+                    assert optimum is None, (name, mode, fixed)
+                    refuted += 1
+                    continue
+                if optimum is not None:
+                    bound = committed + trail.base_bound + extra
+                    assert bound <= optimum, (name, mode, fixed, bound, optimum)
+                    checked += 1
+                    charged += extra > 0
+    assert checked >= 1500 and refuted >= 100 and charged >= 100, (
+        checked, refuted, charged)
 
 
 def test_c4_threshold_filtering_is_exact(corpus):

@@ -6,10 +6,9 @@ import sys
 
 import pytest
 
-from softsched import (
-    Activity, Instance, Resource, SoftPair, serialize_instance,
-)
+from softsched import Activity, Instance, Resource, SoftPair
 from softsched.cli import main
+from softsched.instance import serialize_instance
 
 
 def write_instance(path, instance):
@@ -87,6 +86,19 @@ def test_solve_usage_and_input_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "x.json", "--lb", "tight"])
     assert exc.value.code == 1
+
+
+def test_solve_rejects_a_huge_start_slot(tmp_path, capsys):
+    # one start near 10**9 would need a grid of about 24 GB in memory
+    doc = {"format": 1, "horizon": 10 ** 9,
+           "activities": [{"id": 0, "duration": 1, "enrollment": 0,
+                           "domain": [[10 ** 9 - 1, 0]]}],
+           "soft_disjunctive": [], "resources": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert path.stat().st_size == 164
+    assert main(["solve", str(path)]) == 1
+    assert "[grid-too-large]" in capsys.readouterr().err
 
 
 def test_incumbent_stream_is_json_lines(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from softsched import DomainWipeout, Trail, new_pref_var, post_soft_disjunctive
+from softsched.core import DomainWipeout, PreferenceVariable, Trail
+from softsched.disjunctive import post_soft_disjunctive
 
 
 def snapshot(var):
@@ -14,7 +15,7 @@ def snapshot(var):
 
 
 def test_construction_and_queries():
-    v = new_pref_var([(3, 2), (0, 0), (7, 1)], var_id=9)
+    v = PreferenceVariable(9, [(3, 2), (0, 0), (7, 1)])
     assert v.id == 9
     assert len(v) == 3
     assert list(v.values()) == [0, 3, 7]
@@ -22,22 +23,22 @@ def test_construction_and_queries():
     assert v.contains(3) and not v.contains(4)
     assert not v.contains(-1) and not v.contains(99)
     assert v.penalty(7) == 1
-    assert not v.is_assigned
+    assert v.assignment is None
 
 
 def test_bad_construction():
     with pytest.raises(ValueError):
-        new_pref_var([])
+        PreferenceVariable(0, [])
     with pytest.raises(ValueError):
-        new_pref_var([(0, 0), (0, 3)])
+        PreferenceVariable(0, [(0, 0), (0, 3)])
     with pytest.raises(ValueError):
-        new_pref_var([(-1, 0)])
+        PreferenceVariable(0, [(-1, 0)])
     with pytest.raises(ValueError):
-        new_pref_var([(2, -5)])
+        PreferenceVariable(0, [(2, -5)])
 
 
 def test_penalty_of_dead_slot_raises():
-    v = new_pref_var([(0, 0), (1, 0)])
+    v = PreferenceVariable(0, [(0, 0), (1, 0)])
     trail = Trail()
     v.remove_value(1, trail)
     with pytest.raises(KeyError):
@@ -45,7 +46,7 @@ def test_penalty_of_dead_slot_raises():
 
 
 def test_min_penalty_tie_prefers_smaller_slot():
-    v = new_pref_var([(5, 1), (2, 1), (8, 0), (9, 0)])
+    v = PreferenceVariable(0, [(5, 1), (2, 1), (8, 0), (9, 0)])
     assert v.min_penalty() == (8, 0)
     trail = Trail()
     v.remove_value(8, trail)
@@ -54,7 +55,7 @@ def test_min_penalty_tie_prefers_smaller_slot():
 
 
 def test_add_penalty_accumulates_and_tracks_share():
-    v = new_pref_var([(0, 2), (1, 0)])
+    v = PreferenceVariable(0, [(0, 2), (1, 0)])
     trail = Trail()
     v.add_penalty(0, 3, trail)
     v.add_penalty(0, 4, trail)
@@ -65,7 +66,7 @@ def test_add_penalty_accumulates_and_tracks_share():
 
 
 def test_add_penalty_edge_cases():
-    v = new_pref_var([(0, 0), (1, 0)])
+    v = PreferenceVariable(0, [(0, 0), (1, 0)])
     trail = Trail()
     with pytest.raises(ValueError):
         v.add_penalty(0, -1, trail)
@@ -80,7 +81,7 @@ def test_add_penalty_edge_cases():
 
 
 def test_remove_to_wipeout():
-    v = new_pref_var([(0, 0), (1, 0)], var_id=4)
+    v = PreferenceVariable(4, [(0, 0), (1, 0)])
     trail = Trail()
     v.remove_value(0, trail)
     with pytest.raises(DomainWipeout) as exc:
@@ -92,7 +93,7 @@ def test_remove_to_wipeout():
 
 
 def test_assign_removes_rest_and_fires_watchers_in_order():
-    v = new_pref_var([(0, 1), (1, 0), (2, 3)])
+    v = PreferenceVariable(0, [(0, 1), (1, 0), (2, 3)])
     calls = []
     v.watchers.append(lambda tr: calls.append("a"))
     v.watchers.append(lambda tr: calls.append("b"))
@@ -106,7 +107,7 @@ def test_assign_removes_rest_and_fires_watchers_in_order():
 
 
 def test_assign_to_dead_slot_rejected():
-    v = new_pref_var([(0, 0), (1, 0)])
+    v = PreferenceVariable(0, [(0, 0), (1, 0)])
     trail = Trail()
     v.remove_value(0, trail)
     with pytest.raises(ValueError):
@@ -114,7 +115,7 @@ def test_assign_to_dead_slot_rejected():
 
 
 def test_undo_restores_assignment_and_penalties():
-    v = new_pref_var([(0, 1), (1, 0), (2, 3)])
+    v = PreferenceVariable(0, [(0, 1), (1, 0), (2, 3)])
     trail = Trail()
     mark = trail.mark()
     v.add_penalty(2, 6, trail)
@@ -125,7 +126,7 @@ def test_undo_restores_assignment_and_penalties():
 
 
 def test_nested_marks_unwind_independently():
-    v = new_pref_var([(0, 0), (1, 0), (2, 0)])
+    v = PreferenceVariable(0, [(0, 0), (1, 0), (2, 0)])
     trail = Trail()
     outer = trail.mark()
     v.remove_value(0, trail)
@@ -166,7 +167,7 @@ def op_sequences(draw):
 def test_trail_round_trip(data):
     """Any mutation sequence is undone exactly, including mid-sequence marks."""
     pairs, ops = data
-    v = new_pref_var(pairs)
+    v = PreferenceVariable(0, pairs)
     trail = Trail()
     base = snapshot(v)
     mark = trail.mark()
@@ -204,7 +205,7 @@ def scratch_min(var):
 
 def scratch_sum(variables):
     """Cheapest penalties summed over unassigned, non-empty variables."""
-    return sum(scratch_min(v)[1] for v in variables if not v.is_assigned and len(v))
+    return sum(scratch_min(v)[1] for v in variables if v.assignment is None and len(v))
 
 
 def check_incremental_state(variables, trail):
@@ -225,7 +226,7 @@ def random_network(rng):
     variables = []
     for vid in range(size):
         slots = rng.sample(range(7), rng.randint(1, 5))
-        variables.append(new_pref_var([(s, rng.randint(0, 3)) for s in slots], vid))
+        variables.append(PreferenceVariable(vid, [(s, rng.randint(0, 3)) for s in slots]))
     weights = {(a, b): rng.randint(1, 3)
                for a in range(size) for b in range(a + 1, size)}
     limit = rng.choice([None, 0, 1, 2])
@@ -251,7 +252,7 @@ def run_random_steps(rng, variables, steps):
         mark = trail.mark()
         try:
             if kind == "assign":
-                free = [v for v in variables if not v.is_assigned and len(v)]
+                free = [v for v in variables if v.assignment is None and len(v)]
                 if free:
                     var = rng.choice(free)
                     marks.append(mark)
@@ -292,7 +293,7 @@ def test_cached_minimum_and_running_sum_track_every_step():
 
 
 def test_cached_minimum_follows_hits_on_the_cheapest_slot():
-    v = new_pref_var([(0, 2), (3, 1), (5, 1)])
+    v = PreferenceVariable(0, [(0, 2), (3, 1), (5, 1)])
     trail = Trail()
     trail.base_bound = 1
     v.add_penalty(3, 4, trail)     # hits the cheapest: the tie at 5 takes over

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from softsched import (
-    Activity, BoundMode, Instance, NOT_RUNNABLE, Resource, ResourceInfeasible,
-    base_lower_bound, check_atleast, check_cumulative_max, combined_lower_bound,
-    contribution_with_quota, new_pref_var, resource_contribution, slot_excess,
-    unit_capacity_expand, update_min_weights,
+from softsched import Activity, BoundMode, Instance, Resource
+from softsched.core import PreferenceVariable, Trail
+from softsched.cumulative import (
+    NOT_RUNNABLE, ResourceInfeasible, check_atleast, check_cumulative_max,
+    contribution_with_quota, slot_excess,
 )
+from softsched.search import resource_bound
 
 
 def make_instance(horizon, acts, resources):
@@ -45,22 +46,8 @@ def test_repeated_member_counts_per_copy():
     assert check_cumulative_max(res, inst, {1: 0}) == 0
 
 
-def test_unit_capacity_expand():
-    act = Activity(7, 2, 5, ((0, 0),))
-    views = unit_capacity_expand(act, 3)
-    assert len(views) == 3
-    assert all(v is act for v in views)
-    with pytest.raises(ValueError):
-        unit_capacity_expand(act, 0)
-
-
-def test_base_lower_bound():
-    assert base_lower_bound({1: 2, 2: 0, 3: 5}, [1, 3]) == 7
-    assert base_lower_bound({}, []) == 0
-
-
 def test_slot_excess_scans_covering_starts():
-    v = new_pref_var([(0, 5), (1, 0), (2, 3)])
+    v = PreferenceVariable(0, [(0, 5), (1, 0), (2, 3)])
     assert slot_excess(0, 0, v, 2, 0) == 5
     assert slot_excess(1, 0, v, 2, 0) == 0
     assert slot_excess(2, 0, v, 2, 0) == 0
@@ -70,11 +57,11 @@ def test_slot_excess_scans_covering_starts():
 
 
 def test_slot_excess_window_clamp_and_not_runnable():
-    v = new_pref_var([(0, 5), (2, 3)])
+    v = PreferenceVariable(0, [(0, 5), (2, 3)])
     # start 0 covers slot 1, but the window begins at 1 so it is invisible
     assert slot_excess(1, 1, v, 2, 0) is NOT_RUNNABLE
     assert slot_excess(1, 0, v, 2, 0) == 5
-    far = new_pref_var([(5, 0)])
+    far = PreferenceVariable(0, [(5, 0)])
     assert slot_excess(0, 0, far, 1, 0) is NOT_RUNNABLE
     assert "NOT_RUNNABLE" in repr(NOT_RUNNABLE)
 
@@ -83,7 +70,7 @@ def quota_fixture():
     acts = [Activity(1, 1, 5, ((0, 0), (1, 0))), Activity(2, 1, 5, ((0, 4), (1, 0)))]
     res = Resource("room", (1, 2), 0, 1, (0, 0), (2, 2), (0, 0))
     inst = make_instance(2, acts, [res])
-    variables = {a.id: new_pref_var(list(a.domain), a.id) for a in acts}
+    variables = {a.id: PreferenceVariable(a.id, list(a.domain)) for a in acts}
     table = {1: 0, 2: 0}
     return inst, res, variables, table
 
@@ -111,7 +98,7 @@ def test_share_is_excess_over_duration():
     act = Activity(1, 2, 5, ((0, 6),))
     res = Resource("room", (1,), 0, 1, (1, 1), (1, 1), (1, 1))
     inst = make_instance(2, [act], [res])
-    variables = {1: new_pref_var([(0, 6)], 1)}
+    variables = {1: PreferenceVariable(1, [(0, 6)])}
     total, selected = contribution_with_quota(res, inst, variables, {1: 0}, [1, 1])
     # excess 6 spread over duration 2, charged at both covered slots
     assert total == 6
@@ -121,14 +108,25 @@ def test_share_is_excess_over_duration():
     assert sel_half == {1: Fraction(3)}
 
 
-def test_update_min_weights_floors_the_share():
-    act = Activity(1, 2, 5, ((0, 3),))
-    res = Resource("room", (1,), 0, 0, (1,), (1,), (1,))
-    inst = make_instance(2, [act], [res])
-    variables = {1: new_pref_var([(0, 3)], 1)}
-    table = update_min_weights(res, inst, variables, {1: 0}, BoundMode.MIN)
-    # share 3/2 rounds down so the table stays integral
-    assert table == {1: 1}
+def variables_of(inst):
+    return {a.id: PreferenceVariable(a.id, list(a.domain)) for a in inst.activities}
+
+
+def empty_occupancy(inst):
+    return [[0] * (r.t_max - r.t_min + 1) for r in inst.resources]
+
+
+def test_resource_bound_floors_the_share():
+    # start 0 covers slot 0 at penalty 3; start 2 costs nothing but misses it
+    act = Activity(1, 2, 5, ((0, 3), (2, 0)))
+    res_a = Resource("a", (1,), 0, 0, (1,), (1,), (1,))
+    res_b = Resource("b", (1,), 0, 0, (1,), (1,), (1,))
+    inst = make_instance(4, [act], [res_a, res_b])
+    bound = resource_bound(inst, variables_of(inst), BoundMode.MIN,
+                           empty_occupancy(inst))
+    # "a" charges 3/2 and raises the table by floor(3/2) = 1, so "b" charges
+    # (3 - 1)/2; an unfloored table would give 3/2 + 3/4
+    assert bound == Fraction(3, 2) + 1
 
 
 def test_combined_bound_shares_the_table_between_resources():
@@ -136,20 +134,36 @@ def test_combined_bound_shares_the_table_between_resources():
     res_a = Resource("a", (1,), 1, 1, (1,), (1,), (1,))
     res_b = Resource("b", (1,), 1, 1, (1,), (1,), (1,))
     inst = make_instance(2, [act], [res_a, res_b])
-    variables = {1: new_pref_var([(0, 0), (1, 5)], 1)}
-    assert combined_lower_bound(inst, variables, BoundMode.NONE) == 0
+    variables = variables_of(inst)
+    occupancy = empty_occupancy(inst)
+    assert resource_bound(inst, variables, BoundMode.NONE, occupancy) == 0
     # the second resource sees the raised floor: 5, not 10
-    assert combined_lower_bound(inst, variables, BoundMode.MIN) == 5
+    assert resource_bound(inst, variables, BoundMode.MIN, occupancy) == 5
 
 
 def test_expected_quota_tightens_the_bound():
     acts = [Activity(1, 1, 5, ((0, 3), (1, 0))), Activity(2, 1, 5, ((0, 1), (1, 0)))]
     res = Resource("room", (1, 2), 0, 0, (0,), (2,), (1,))
     inst = make_instance(2, acts, [res])
-    variables = {a.id: new_pref_var(list(a.domain), a.id) for a in acts}
-    assert resource_contribution(res, inst, variables, {1: 0, 2: 0}, BoundMode.MIN) == 0
-    assert resource_contribution(res, inst, variables, {1: 0, 2: 0}, BoundMode.EXP) == 1
-    assert combined_lower_bound(inst, variables, BoundMode.EXP) == 1
+    variables = variables_of(inst)
+    occupancy = empty_occupancy(inst)
+    assert resource_bound(inst, variables, BoundMode.MIN, occupancy) == 0
+    assert resource_bound(inst, variables, BoundMode.EXP, occupancy) == 1
+
+
+def test_resource_bound_charges_only_what_assigned_members_leave():
+    acts = [Activity(i, 1, 5, ((0, 2 * i), (1, 0))) for i in (1, 2, 3)]
+    res = Resource("room", (1, 2, 3), 0, 0, (2,), (3,), (2,))
+    inst = make_instance(2, acts, [res])
+    variables = variables_of(inst)
+    assert resource_bound(inst, variables, BoundMode.MIN, [[0]]) == 2 + 4
+    variables[1].assign(0, Trail())
+    # member 1 fills one unit of the quota and is no longer charged
+    assert resource_bound(inst, variables, BoundMode.MIN, [[1]]) == 4
+    variables[2].assign(0, Trail())
+    assert resource_bound(inst, variables, BoundMode.MIN, [[2]]) == 0
+    with pytest.raises(ResourceInfeasible):
+        resource_bound(inst, variables, BoundMode.MIN, [[0]])
 
 
 def fraction_contribution(resource, instance, variables, table, quota):
@@ -193,7 +207,7 @@ def test_quota_on_mixed_durations_matches_the_fraction_reference():
         res = Resource("room", members, t_min, t_max, flat(0, width),
                        flat(len(members), width), flat(0, width))
         inst = make_instance(14, acts, [res])
-        variables = {a.id: new_pref_var(list(a.domain), a.id) for a in acts}
+        variables = {a.id: PreferenceVariable(a.id, list(a.domain)) for a in acts}
         table = {a.id: rng.randint(0, 4) for a in acts}
         quota = [rng.randint(0, 3) for _ in range(width)]
         try:

@@ -9,9 +9,10 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from softsched import (
-    Activity, DomainWipeout, Instance, PreferenceVariable, SoftDisjunctive,
-    SoftPair, Trail, activity_violation, new_pref_var, overlaps, post_network,
+from softsched import Activity, Instance, SoftPair
+from softsched.core import DomainWipeout, PreferenceVariable, Trail
+from softsched.disjunctive import (
+    SoftDisjunctive, activity_violation, overlaps, post_network,
     post_soft_disjunctive, violation_profile, violation_ratio,
     weighted_violation, worst_case_satisfaction,
 )
@@ -34,8 +35,8 @@ def test_overlap_predicate():
 
 
 def test_propagation_charges_overlapping_values():
-    vi = new_pref_var([(2, 0)], var_id=1)
-    vj = new_pref_var([(t, 0) for t in range(5)], var_id=2)
+    vi = PreferenceVariable(1, [(2, 0)])
+    vj = PreferenceVariable(2, [(t, 0) for t in range(5)])
     trail = Trail()
     post_soft_disjunctive(vi, 2, [(vj, 1, 5)])
     post_soft_disjunctive(vj, 1, [(vi, 2, 5)])
@@ -46,8 +47,8 @@ def test_propagation_charges_overlapping_values():
 
 
 def test_threshold_removes_overcharged_values():
-    vi = new_pref_var([(2, 0)], var_id=1)
-    vj = new_pref_var([(t, 0) for t in range(5)], var_id=2)
+    vi = PreferenceVariable(1, [(2, 0)])
+    vj = PreferenceVariable(2, [(t, 0) for t in range(5)])
     trail = Trail()
     post_soft_disjunctive(vi, 2, [(vj, 1, 5)], limit=4)
     vi.assign(2, trail)
@@ -56,8 +57,8 @@ def test_threshold_removes_overcharged_values():
 
 def test_assigned_neighbor_is_not_recharged():
     """Each pair is charged exactly once no matter who fires second."""
-    vi = new_pref_var([(0, 0), (1, 0)], var_id=1)
-    vj = new_pref_var([(0, 0), (1, 0)], var_id=2)
+    vi = PreferenceVariable(1, [(0, 0), (1, 0)])
+    vj = PreferenceVariable(2, [(0, 0), (1, 0)])
     post_soft_disjunctive(vi, 1, [(vj, 1, 3)])
     post_soft_disjunctive(vj, 1, [(vi, 1, 3)])
     trail = Trail()
@@ -68,8 +69,8 @@ def test_assigned_neighbor_is_not_recharged():
 
 
 def test_posting_rejects_bad_arcs():
-    v1 = new_pref_var([(0, 0)], var_id=1)
-    v2 = new_pref_var([(0, 0)], var_id=2)
+    v1 = PreferenceVariable(1, [(0, 0)])
+    v2 = PreferenceVariable(2, [(0, 0)])
     with pytest.raises(ValueError):
         post_soft_disjunctive(v1, 1, [(v1, 1, 2)])
     with pytest.raises(ValueError):
@@ -142,7 +143,7 @@ def test_propagation_sum_identity(data):
     """Assigned-slot penalties always add up to initial costs plus the
     weighted violation, whatever the instantiation order."""
     inst, order, picks = data
-    variables = {a.id: new_pref_var(list(a.domain), a.id) for a in inst.activities}
+    variables = {a.id: PreferenceVariable(a.id, list(a.domain)) for a in inst.activities}
     post_network(inst, variables)
     trail = Trail()
     assignment = {}
@@ -167,7 +168,7 @@ def full_scan_propagate(constraint, trail):
     d = constraint.duration
     limit = constraint.limit
     for other, d_other, weight in constraint.arcs:
-        if other.is_assigned:
+        if other.assignment is not None:
             continue
         for slot in list(other.values()):
             if overlaps(start, d, slot, d_other):
@@ -188,7 +189,7 @@ def mirrored_networks(rng, limit):
                for a in range(size) for b in range(a + 1, size) if rng.random() < 0.8}
     copies = []
     for reference in (False, True):
-        variables = [new_pref_var(domains[vid], vid) for vid in range(size)]
+        variables = [PreferenceVariable(vid, domains[vid]) for vid in range(size)]
         for var in variables:
             arcs = [(o, durations[o.id], weights[min(var.id, o.id), max(var.id, o.id)])
                     for o in variables
@@ -225,7 +226,7 @@ def test_window_propagation_matches_the_full_scan():
             marks = []
             for _step in range(12):
                 variables = copies[0][0]
-                free = [v.id for v in variables if not v.is_assigned]
+                free = [v.id for v in variables if v.assignment is None]
                 if marks and (not free or rng.random() < 0.25):
                     k = rng.randrange(len(marks))
                     mark = marks[k]

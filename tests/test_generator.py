@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from softsched import generate, parse_instance, serialize_instance
+from softsched import generate, parse_instance
+from softsched.instance import serialize_instance
 
 
 def test_same_seed_same_bytes():

@@ -7,9 +7,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from softsched import (
-    Activity, Instance, InstanceError, Resource, SoftPair,
-    parse_instance, serialize_instance,
+    Activity, Instance, InstanceError, Resource, SoftPair, parse_instance,
 )
+from softsched.instance import MAX_GRID_SLOTS, serialize_instance
 
 
 def doc(**overrides):
@@ -131,6 +131,22 @@ def test_horizon_errors():
     d = doc()
     d["resources"][0]["t_max"] = 4
     assert code_of(d) == "horizon-overrun"
+
+
+def test_grid_limit():
+    # grids of (latest start + 1) slots: activity 2 needs 4 of the budget
+    d = doc(horizon=MAX_GRID_SLOTS + 2)
+    d["activities"][0]["domain"] = [[MAX_GRID_SLOTS - 5, 0]]
+    parse(d)  # exactly the budget
+    d["activities"][0]["domain"] = [[MAX_GRID_SLOTS - 4, 0]]
+    with pytest.raises(InstanceError) as exc:
+        parse(d)
+    assert exc.value.code == "grid-too-large"
+    assert exc.value.where == "$.activities[1].domain"
+    d["activities"][0]["domain"] = [[MAX_GRID_SLOTS, 0]]
+    with pytest.raises(InstanceError) as exc:
+        parse(d)
+    assert exc.value.where == "$.activities[0].domain"
 
 
 def test_capacity_errors():

@@ -6,8 +6,10 @@ import pytest
 
 from softsched import (
     Activity, BoundMode, BoundViolation, Instance, Objective, Resource,
-    SoftPair, enumerate_optimum, verify_bound, weighted_violation,
+    SoftPair, enumerate_optimum, verify_bound,
 )
+from softsched.disjunctive import weighted_violation
+from softsched.oracle import ENUMERATION_CAP
 
 
 def test_weighted_oracle_agrees_with_profiler(corpus):
@@ -51,13 +53,23 @@ def test_fuzzy_oracle_normalizes_the_worst_activity(corpus):
 
 
 def test_oracle_refuses_oversized_products():
-    acts = tuple(Activity(i, 1, 5, tuple((t, 0) for t in range(10)))
-                 for i in range(1, 8))
-    inst = Instance(10, acts, (), ())
+    # four activities of five starts: a product of exactly 5**4 = 625
+    acts = tuple(Activity(i, 1, 5, tuple((t, 0) for t in range(5)))
+                 for i in range(1, 5))
+    inst = Instance(5, acts, (), ())
+    every = enumerate_optimum(inst, cap=625)
+    assert every.optimum == 0
+    assert every.evaluated == every.count == 625
     with pytest.raises(ValueError):
-        enumerate_optimum(inst, cap=10 ** 6)
-    every = enumerate_optimum(inst, cap=10 ** 7)
-    assert every.optimum == 0 and every.count == 10 ** 7
+        enumerate_optimum(inst, cap=624)
+
+    # the default cap: 10**7 + 1 = 11 * 909091 assignments are refused.
+    # Refusal reads only the domain sizes, so one start repeated will do.
+    assert ENUMERATION_CAP == 10 ** 7
+    wide = (Activity(1, 1, 5, ((0, 0),) * 11),
+            Activity(2, 1, 5, ((0, 0),) * 909091))
+    with pytest.raises(ValueError):
+        enumerate_optimum(Instance(1, wide, (), ()))
 
 
 def test_fuzzy_needs_a_network():

@@ -7,10 +7,12 @@ import pytest
 
 from softsched import (
     Activity, BoundMode, Incumbent, Instance, Resource, SearchConfig,
-    SoftPair, Status, Trail, generate, new_pref_var, order_values, post_network,
-    rank_variables, restart_tightening, select_variable, solve,
-    solve_min_worst_violation, weighted_violation,
+    SoftPair, Status, generate, solve, solve_min_worst_violation,
 )
+from softsched.core import PreferenceVariable, Trail
+from softsched.disjunctive import post_network, weighted_violation
+from softsched.search import (order_values, rank_variables,
+                              restart_tightening, select_variable)
 
 
 def brute_force(instance):
@@ -41,9 +43,9 @@ def brute_force(instance):
 
 def test_select_variable_prefers_constrained_then_cheap():
     variables = {
-        1: new_pref_var([(0, 4)], 1),
-        2: new_pref_var([(0, 2), (1, 3)], 2),
-        3: new_pref_var([(0, 0), (1, 6)], 3),
+        1: PreferenceVariable(1, [(0, 4)]),
+        2: PreferenceVariable(2, [(0, 2), (1, 3)]),
+        3: PreferenceVariable(3, [(0, 0), (1, 6)]),
     }
     ranking = rank_variables(variables, {1: 3, 2: 5, 3: 5})
     assert select_variable(ranking).id == 3
@@ -56,7 +58,7 @@ def test_select_variable_prefers_constrained_then_cheap():
 
 
 def test_rank_variables_groups_by_descending_metric():
-    variables = {aid: new_pref_var([(0, 0)], aid) for aid in (4, 1, 3, 2)}
+    variables = {aid: PreferenceVariable(aid, [(0, 0)]) for aid in (4, 1, 3, 2)}
     ranking = rank_variables(variables, {1: 2, 2: 5, 3: 2, 4: 5})
     assert [[v.id for v in group] for group in ranking] == [[2, 4], [1, 3]]
 
@@ -79,7 +81,7 @@ def test_select_variable_matches_the_reference_key():
         for mode in ("count", "weight"):
             metric = {aid: len(arcs) if mode == "count" else sum(w for _o, w in arcs)
                       for aid, arcs in inst.incident.items()}
-            variables = {a.id: new_pref_var(list(a.domain), a.id)
+            variables = {a.id: PreferenceVariable(a.id, list(a.domain))
                          for a in inst.activities}
             post_network(inst, variables)
             ranking = rank_variables(variables, metric)
@@ -88,7 +90,7 @@ def test_select_variable_matches_the_reference_key():
             rng.shuffle(order)
             for aid in order:
                 keys = sorted((-metric[i], v.min_penalty()[1], i)
-                              for i, v in variables.items() if not v.is_assigned)
+                              for i, v in variables.items() if v.assignment is None)
                 assert select_variable(ranking).id == keys[0][2]
                 if len(keys) > 1 and keys[0][0] == keys[1][0]:
                     if keys[0][1] < keys[1][1]:
@@ -102,7 +104,7 @@ def test_select_variable_matches_the_reference_key():
 
 
 def test_order_values_cheapest_first():
-    v = new_pref_var([(7, 5), (8, 0), (10, 0)])
+    v = PreferenceVariable(0, [(7, 5), (8, 0), (10, 0)])
     assert order_values(v) == [8, 10, 7]
 
 
