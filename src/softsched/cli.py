@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .cumulative import BoundMode
+from .cumulative import BoundMode, check_atleast, check_cumulative_max
 from .disjunctive import violation_profile, weighted_violation, worst_case_satisfaction
 from .generator import generate
 from .instance import Instance, InstanceError, parse_instance, serialize_instance
@@ -212,6 +212,23 @@ def _cmd_report(args) -> int:
     if missing:
         print(f"softsched: solution misses activities {missing}", file=sys.stderr)
         return 1
+    for act in instance.activities:
+        start = assignment[act.id]
+        if not any(start == slot for slot, _cost in act.domain):
+            print(f"softsched: activity {act.id} starts at {start!r}, "
+                  f"outside its domain", file=sys.stderr)
+            return 1
+    for res in instance.resources:
+        slot = check_cumulative_max(res, instance, assignment)
+        if slot is not None:
+            print(f"softsched: resource {res.name!r} exceeds cap_max "
+                  f"at slot {slot}", file=sys.stderr)
+            return 1
+        slot = check_atleast(res, instance, assignment)
+        if slot is not None:
+            print(f"softsched: resource {res.name!r} falls short of cap_min "
+                  f"at slot {slot}", file=sys.stderr)
+            return 1
     fresh = build_breakdown(instance, assignment)
     if fresh != stored:
         print("softsched: stored breakdown does not match the assignment:",

@@ -131,19 +131,6 @@ def weighted_violation(instance: Instance, assignment: Mapping[int, int]) -> int
     return total
 
 
-def activity_violation(instance: Instance, assignment: Mapping[int, int],
-                       aid: int) -> int:
-    """Weighted violations incident to one activity."""
-    act = instance.activity(aid)
-    start = assignment[aid]
-    total = 0
-    for other, weight in instance.incident[aid]:
-        o = instance.activity(other)
-        if overlaps(start, act.duration, assignment[other], o.duration):
-            total += weight
-    return total
-
-
 def violation_profile(instance: Instance,
                       assignment: Mapping[int, int]) -> Dict[int, int]:
     """Incident violation for every activity, in one pass over the pairs."""
@@ -174,12 +161,3 @@ def worst_case_satisfaction(instance: Instance,
             "worst-case satisfaction needs >= 2 activities and >= 1 weighted pair")
     worst_u = max(violation_profile(instance, assignment).values())
     return 1 - Fraction(worst_u, m * (n - 1))
-
-
-def violation_ratio(instance: Instance, assignment: Mapping[int, int],
-                    aid: int) -> Fraction:
-    """Incident violation relative to the activity's enrollment count."""
-    act = instance.activity(aid)
-    if act.enrollment == 0:
-        raise ValueError(f"activity {aid} has no enrollment; ratio undefined")
-    return Fraction(activity_violation(instance, assignment, aid), act.enrollment)

@@ -2,13 +2,17 @@
 
 Depth-first search assigns variables most-constrained-first and values
 cheapest-first, propagating soft non-overlap weights and hard occupancy
-caps after every assignment.  The variables are ranked by constrainedness
-once per solve, so picking the next one scans that ranking for the first
-group with an unassigned variable instead of sorting at every node.  Every
-complete assignment that beats the incumbent is emitted to a progress sink
-immediately, so the search can be stopped at any moment — by time limit,
-node limit, or a cancellation callback checked at node boundaries — and
-still hand back the best solution seen.
+caps after every assignment.  It is one loop over an explicit stack of
+choice points, one per open node, each rewinding the trail to its mark
+after every child; nothing recurses, so the depth is not bounded by the
+interpreter's recursion limit, and :func:`solve` leaves interpreter state
+alone.  The variables are ranked by arc count once per solve, so picking
+the next one scans that ranking for the first group with an unassigned
+variable instead of sorting at every node.  Every complete assignment that
+beats the incumbent is emitted to a progress sink immediately, so the
+search can be stopped at any moment — by time limit, node limit, or a
+cancellation callback checked at node boundaries — and still hand back
+the best solution seen.
 
 Pruning combines the cost already committed (the penalties at assigned
 values), the cheapest-value sum over unassigned variables, and optionally
@@ -25,7 +29,6 @@ at the root, and its per-resource step comes from
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -53,7 +56,6 @@ class SearchConfig:
     violation_limit: Optional[int] = None   # cap on any activity's incident violation
     lb_mode: BoundMode = BoundMode.NONE
     lb_period: int = 1
-    constrainedness: str = "count"          # "count" of arcs or their "weight" sum
 
     def __post_init__(self):
         if self.time_limit is not None and self.time_limit <= 0:
@@ -64,8 +66,6 @@ class SearchConfig:
             raise ValueError("violation limit must be >= 0")
         if self.lb_period < 1:
             raise ValueError("lb period must be >= 1")
-        if self.constrainedness not in ("count", "weight"):
-            raise ValueError("constrainedness must be 'count' or 'weight'")
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,6 @@ class SolveResult:
 
 ProgressSink = Callable[[Incumbent], None]
 CancelCheck = Callable[[], bool]
-
-
-class _Stop(Exception):
-    """Internal: a limit or cancellation fired; unwind and report the best."""
 
 
 class _CapacityOverflow(SchedulingError):
@@ -175,13 +171,6 @@ class _LiveResource:
         return None
 
 
-def _constrainedness(instance: Instance, mode: str) -> Dict[int, int]:
-    if mode == "weight":
-        return {aid: sum(w for _o, w in arcs)
-                for aid, arcs in instance.incident.items()}
-    return {aid: len(arcs) for aid, arcs in instance.incident.items()}
-
-
 def resource_bound(instance: Instance,
                    variables: Mapping[int, PreferenceVariable],
                    mode: BoundMode,
@@ -241,73 +230,79 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     for live in live_resources:
         for aid in live.resource.members:
             holds[aid].append(live)
-    ranking = rank_variables(variables,
-                             _constrainedness(instance, config.constrainedness))
+    ranking = rank_variables(
+        variables, {aid: len(arcs) for aid, arcs in instance.incident.items()})
     durations = {a.id: a.duration for a in instance.activities}
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * len(variables) + 1000))
 
     best: Optional[Incumbent] = None
     nodes = 0
     emitted = 0
+    node_limit = config.node_limit
     use_lb = config.lb_mode is not BoundMode.NONE
     occupancy = [live.occ for live in live_resources]  # updated in place
 
-    def at_boundary() -> None:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise _Stop
-        if config.node_limit is not None and nodes >= config.node_limit:
-            raise _Stop
-        if cancel is not None and cancel():
-            raise _Stop
-
-    def descend(depth: int, cost: int) -> None:
-        nonlocal best, nodes, emitted
+    # One choice point per open node: (variable, untried slots with the next
+    # one last, node cost, node depth, trail mark its children rewind to).
+    stack: List[tuple] = []
+    depth = cost = 0
+    exhausted = True
+    while True:
+        # Visit the node at (depth, cost): prune it, record it as a leaf, or
+        # open its choice point.
+        rewind = True
         bound = trail.base_bound
         if use_lb and depth % config.lb_period == 0:
             try:
                 bound += resource_bound(instance, variables, config.lb_mode,
                                         occupancy)
             except ResourceInfeasible:
-                return
-        if best is not None and cost + bound >= best.cost:
-            return
-        var = select_variable(ranking)
-        if var is None:
-            for live in live_resources:
-                if live.deficit_slot() is not None:
-                    return
-            assignment = {aid: v.assignment for aid, v in variables.items()}
-            if config.violation_limit is not None and instance.pairs:
-                worst = max(violation_profile(instance, assignment).values())
-                if worst > config.violation_limit:
-                    return
-            best = Incumbent(assignment, cost,
-                             time.monotonic() - started, nodes)
-            emitted += 1
-            if sink is not None:
-                sink(best)
-            return
-        duration = durations[var.id]
-        for slot in order_values(var):
-            at_boundary()
+                bound = None  # no completion covers the quotas
+        if bound is not None and (best is None or cost + bound < best.cost):
+            var = select_variable(ranking)
+            if var is not None:
+                slots = order_values(var)
+                slots.reverse()
+                stack.append((var, slots, cost, depth, trail.mark()))
+                rewind = False
+            elif all(live.deficit_slot() is None for live in live_resources):
+                assignment = {aid: v.assignment for aid, v in variables.items()}
+                if (config.violation_limit is None or not instance.pairs
+                        or max(violation_profile(instance, assignment).values())
+                        <= config.violation_limit):
+                    best = Incumbent(assignment, cost,
+                                     time.monotonic() - started, nodes)
+                    emitted += 1
+                    if sink is not None:
+                        sink(best)
+
+        # Step to the next child of the deepest open choice point.  While
+        # ``rewind`` is set, a child of the top one has just finished.
+        while stack:
+            var, slots, node_cost, node_depth, mark = stack[-1]
+            if rewind:
+                trail.undo_to(mark)
+            if not slots:
+                stack.pop()
+                rewind = True
+                continue
+            if (deadline is not None and time.monotonic() >= deadline
+                    or node_limit is not None and nodes >= node_limit
+                    or cancel is not None and cancel()):
+                exhausted = False
+                break
+            slot = slots.pop()
             nodes += 1
-            mark = trail.mark()
             try:
                 var.assign(slot, trail)
                 for live in holds[var.id]:
-                    live.place(slot, duration, trail)
+                    live.place(slot, durations[var.id], trail)
             except SchedulingError:
-                trail.undo_to(mark)
+                rewind = True
                 continue
-            descend(depth + 1, cost + var.penalty(slot))
-            trail.undo_to(mark)
-
-    exhausted = True
-    try:
-        descend(0, 0)
-    except _Stop:
-        exhausted = False
+            depth, cost = node_depth + 1, node_cost + var.penalty(slot)
+            break
+        if not stack or not exhausted:
+            break
 
     elapsed = time.monotonic() - started
     if best is not None:

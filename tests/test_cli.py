@@ -192,6 +192,31 @@ def test_report_catches_tampering(easy, tmp_path, capsys):
     assert main(["report", easy, str(bad)]) == 1
     assert "misses activities" in capsys.readouterr().err
 
+    outside = json.loads(sol.read_text())
+    outside["assignment"][0]["start"] = 99
+    bad.write_text(json.dumps(outside))
+    assert main(["report", easy, str(bad)]) == 1
+    assert "activity 1 starts at 99, outside its domain" in capsys.readouterr().err
+
+    # Two unit activities over slots 0-2: "rooms" holds one at a time, and
+    # "staff" needs one of them at slot 1.  Neither forged file changes the
+    # cost or the breakdown, so only the capacity audit can refuse it.
+    acts = tuple(Activity(i, 1, 10, ((0, 0), (1, 0), (2, 0))) for i in (1, 2))
+    rooms = Resource("rooms", (1, 2), 0, 2, (0, 0, 0), (1, 1, 1), (0, 0, 0))
+    staff = Resource("staff", (1, 2), 1, 1, (1,), (2,), (1,))
+    held = write_instance(tmp_path / "held.json",
+                          Instance(3, acts, (), (rooms, staff)))
+    assert main(["solve", held, "--out", str(sol)]) == 0
+    for starts, message in (
+            ((1, 1), "resource 'rooms' exceeds cap_max at slot 1"),
+            ((0, 2), "resource 'staff' falls short of cap_min at slot 1")):
+        forged = json.loads(sol.read_text())
+        forged["assignment"] = [{"id": aid, "start": start}
+                                for aid, start in zip((1, 2), starts)]
+        bad.write_text(json.dumps(forged))
+        assert main(["report", held, str(bad)]) == 1
+        assert message in capsys.readouterr().err
+
 
 def test_module_entry_point_runs_as_subprocess(tmp_path):
     gen = subprocess.run(

@@ -12,16 +12,15 @@ from hypothesis import given, settings
 from softsched import Activity, Instance, SoftPair
 from softsched.core import DomainWipeout, PreferenceVariable, Trail
 from softsched.disjunctive import (
-    SoftDisjunctive, activity_violation, overlaps, post_network,
-    post_soft_disjunctive, violation_profile, violation_ratio,
-    weighted_violation, worst_case_satisfaction,
+    SoftDisjunctive, overlaps, post_network, post_soft_disjunctive,
+    violation_profile, weighted_violation, worst_case_satisfaction,
 )
 
 
-def unit_instance(n, pairs, horizon=3, enrollment=10):
+def unit_instance(n, pairs, horizon=3):
     """n unit-duration activities with full zero-cost domains."""
     dom = tuple((t, 0) for t in range(horizon))
-    acts = tuple(Activity(i, 1, enrollment, dom) for i in range(1, n + 1))
+    acts = tuple(Activity(i, 1, 10, dom) for i in range(1, n + 1))
     sps = tuple(SoftPair(a, b, w) for a, b, w in pairs)
     return Instance(horizon, acts, sps, ())
 
@@ -83,7 +82,6 @@ def test_evaluators_on_three_way_clash():
     inst = unit_instance(3, [(1, 2, 1), (1, 3, 2), (2, 3, 4)])
     together = {1: 0, 2: 0, 3: 0}
     assert weighted_violation(inst, together) == 7
-    assert activity_violation(inst, together, 1) == 3
     assert violation_profile(inst, together) == {1: 3, 2: 5, 3: 6}
     apart = {1: 0, 2: 1, 3: 2}
     assert weighted_violation(inst, apart) == 0
@@ -104,16 +102,6 @@ def test_worst_case_satisfaction_needs_a_network():
     unweighted = unit_instance(2, [])
     with pytest.raises(ValueError):
         worst_case_satisfaction(unweighted, {1: 0, 2: 0})
-
-
-def test_violation_ratio_uses_enrollment():
-    inst = unit_instance(2, [(1, 2, 6)], enrollment=15)
-    assert violation_ratio(inst, {1: 0, 2: 0}, 1) == Fraction(6, 15)
-    assert violation_ratio(inst, {1: 0, 2: 1}, 1) == 0
-    zero = Instance(2, (Activity(1, 1, 0, ((0, 0),)), Activity(2, 1, 5, ((0, 0),))),
-                    (SoftPair(1, 2, 1),), ())
-    with pytest.raises(ValueError):
-        violation_ratio(zero, {1: 0, 2: 0}, 1)
 
 
 @st.composite

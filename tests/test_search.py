@@ -1,6 +1,7 @@
 """Branch and bound: heuristics, statuses, limits, determinism, restarts."""
 
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -117,8 +118,6 @@ def test_config_validation():
         SearchConfig(violation_limit=-1)
     with pytest.raises(ValueError):
         SearchConfig(lb_period=0)
-    with pytest.raises(ValueError):
-        SearchConfig(constrainedness="degree")
 
 
 def unit(n, horizon, pairs, costs=None, resources=()):
@@ -173,6 +172,19 @@ def test_node_limit_statuses():
     full = solve(inst)
     assert full.status is Status.OPTIMAL
     assert full.best.cost == brute_force(inst)
+
+
+def test_deep_search_leaves_the_recursion_limit_alone():
+    inst = unit(1200, 2, [])
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default, below the depth
+    try:
+        result = solve(inst)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(previous)
+    assert result.status is Status.OPTIMAL
+    assert result.best.cost == 0
 
 
 def test_cancel_is_honored_between_nodes():
