@@ -14,10 +14,12 @@ import argparse
 import json
 import signal
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .cumulative import BoundMode, check_atleast, check_cumulative_max
+from .core import Trail
+from .cumulative import BoundMode, CapacityOverflow, Occupancy
 from .disjunctive import violation_profile, weighted_violation, worst_case_satisfaction
 from .generator import generate
 from .instance import Instance, InstanceError, parse_instance, serialize_instance
@@ -111,7 +113,6 @@ def _cmd_solve(args) -> int:
             node_limit=args.node_limit,
             violation_limit=args.u_max,
             lb_mode=BoundMode(args.lb),
-            lb_period=args.lb_period,
         )
     except (OSError, InstanceError, ValueError) as exc:
         print(f"softsched: {exc}", file=sys.stderr)
@@ -201,6 +202,7 @@ def _cmd_report(args) -> int:
         instance = _load_instance(args.instance)
         with open(args.solution, "rb") as fh:
             doc = json.loads(fh.read().decode("utf-8"))
+        entries = Counter(entry["id"] for entry in doc["assignment"])
         assignment = {entry["id"]: entry["start"] for entry in doc["assignment"]}
         stored = doc["breakdown"]
         stored_cost = doc["cost"]
@@ -212,19 +214,34 @@ def _cmd_report(args) -> int:
     if missing:
         print(f"softsched: solution misses activities {missing}", file=sys.stderr)
         return 1
+    known = {a.id for a in instance.activities}
+    unknown = [aid for aid in entries if aid not in known]
+    if unknown:
+        print(f"softsched: solution names unknown activities {unknown}",
+              file=sys.stderr)
+        return 1
+    repeated = [aid for aid, count in entries.items() if count > 1]
+    if repeated:
+        print(f"softsched: solution repeats activities {repeated}",
+              file=sys.stderr)
+        return 1
     for act in instance.activities:
         start = assignment[act.id]
         if not any(start == slot for slot, _cost in act.domain):
             print(f"softsched: activity {act.id} starts at {start!r}, "
                   f"outside its domain", file=sys.stderr)
             return 1
+    trail = Trail()  # only collects the bumps; nothing is undone
     for res in instance.resources:
-        slot = check_cumulative_max(res, instance, assignment)
-        if slot is not None:
-            print(f"softsched: resource {res.name!r} exceeds cap_max "
-                  f"at slot {slot}", file=sys.stderr)
+        occupancy = Occupancy(res)
+        try:
+            for aid in res.members:
+                occupancy.place(assignment[aid], instance.activity(aid).duration,
+                                trail)
+        except CapacityOverflow as exc:
+            print(f"softsched: {exc}", file=sys.stderr)
             return 1
-        slot = check_atleast(res, instance, assignment)
+        slot = occupancy.deficit_slot()
         if slot is not None:
             print(f"softsched: resource {res.name!r} falls short of cap_min "
                   f"at slot {slot}", file=sys.stderr)
@@ -269,7 +286,6 @@ def _build_parser() -> _Parser:
                          help="cap on any activity's incident violation")
     p_solve.add_argument("--lb", choices=["none", "min", "exp"],
                          default="none", help="resource lower-bound mode")
-    p_solve.add_argument("--lb-period", type=int, default=1, metavar="P")
     p_solve.add_argument("--objective",
                          choices=["weighted", "fuzzy-restart"],
                          default="weighted")

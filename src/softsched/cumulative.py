@@ -3,11 +3,15 @@
 A resource is a pool (think classrooms) over an inclusive slot window with
 per-slot minimal, maximal and expected occupancy by its member activities.
 The hard side is plain counting: occupancy may never exceed ``cap_max`` and,
-once every member is placed, must reach ``cap_min``.
+once every member is placed, must reach ``cap_min``.  :class:`Occupancy`
+holds that count for one resource and is the only code that decides which
+window slots a placed member covers: search places members on it as it
+assigns them, and ``softsched report`` places a whole solution on it.
 
 The soft side turns the same windows into a lower bound on penalty.  If at
 least ``c`` members must execute at slot t, each of them pays at least its
-cheapest start covering t; summing the ``c`` smallest such excesses (scaled
+cheapest live start covering t (a start before the window counts when the
+activity runs into it); summing the ``c`` smallest such excesses (scaled
 by 1/duration, since an activity spans several slots) over all slots yields
 a bound no feasible completion can beat.  MIN mode uses ``cap_min`` as the
 per-slot count; EXP mode uses ``cap_exp`` and is the stronger bound — but it
@@ -26,9 +30,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .core import PreferenceVariable, SchedulingError
+from .core import PreferenceVariable, SchedulingError, Trail
 from .instance import Instance, Resource
 
 
@@ -51,87 +55,80 @@ class ResourceInfeasible(SchedulingError):
         self.runnable = runnable
 
 
-class _NotRunnable:
-    __slots__ = ()
+class CapacityOverflow(SchedulingError):
+    """Placing a member pushed a resource past ``cap_max`` at ``slot``."""
 
-    def __repr__(self):
-        return "NOT_RUNNABLE"
-
-
-#: Sentinel returned by :func:`slot_excess` when no live start covers the slot.
-NOT_RUNNABLE = _NotRunnable()
+    def __init__(self, resource: str, slot: int):
+        super().__init__(f"resource {resource!r} exceeds cap_max at slot {slot}")
+        self.resource = resource
+        self.slot = slot
 
 
 # ---------------------------------------------------------------------------
-# hard checks (pure counting over an assignment mapping)
+# hard side: per-slot occupancy
 
 
-def _occupancy(resource: Resource, instance: Instance,
-               assignment: Mapping[int, int], complete: bool) -> List[int]:
-    width = resource.t_max - resource.t_min + 1
-    occ = [0] * width
-    for aid in resource.members:
-        if not complete and aid not in assignment:
-            continue
-        start = assignment[aid]
-        dur = instance.activity(aid).duration
-        lo = max(start, resource.t_min)
-        hi = min(start + dur - 1, resource.t_max)
-        for t in range(lo, hi + 1):
-            occ[t - resource.t_min] += 1
-    return occ
+class Occupancy:
+    """Per-slot member counts of one resource, bumped through a trail.
 
-
-def check_cumulative_max(resource: Resource, instance: Instance,
-                         assignment: Mapping[int, int]) -> Optional[int]:
-    """First slot where assigned members exceed cap_max, or None if within caps.
-
-    Partial assignments are fine; unassigned members simply do not count.
-    A member id repeated in ``resource.members`` occupies one unit per copy.
+    ``counts[i]`` is how many placed members execute at slot ``t_min + i``.
+    A member id repeated in ``resource.members`` is placed once per copy.
     """
-    occ = _occupancy(resource, instance, assignment, complete=False)
-    for idx, count in enumerate(occ):
-        if count > resource.cap_max[idx]:
-            return resource.t_min + idx
-    return None
 
+    __slots__ = ("resource", "counts")
 
-def check_atleast(resource: Resource, instance: Instance,
-                  assignment: Mapping[int, int]) -> Optional[int]:
-    """First slot whose occupancy falls short of cap_min, or None.
+    def __init__(self, resource: Resource):
+        self.resource = resource
+        self.counts = [0] * (resource.t_max - resource.t_min + 1)
 
-    The assignment must cover every member (KeyError otherwise).
-    """
-    occ = _occupancy(resource, instance, assignment, complete=True)
-    for idx, count in enumerate(occ):
-        if count < resource.cap_min[idx]:
-            return resource.t_min + idx
-    return None
+    def place(self, start: int, duration: int, trail: Trail) -> None:
+        """Count a member started at ``start`` at every window slot it covers.
+
+        Each bump is one trail record, so undoing the trail unplaces it.
+        Raises :class:`CapacityOverflow` at the first slot past ``cap_max``.
+        """
+        r = self.resource
+        counts = self.counts
+        cap_max = r.cap_max
+        for i in range(max(start, r.t_min) - r.t_min,
+                       min(start + duration - 1, r.t_max) - r.t_min + 1):
+            counts[i] += 1
+            trail.push_occupancy(counts, i, 1)
+            if counts[i] > cap_max[i]:
+                raise CapacityOverflow(r.name, r.t_min + i)
+
+    def deficit_slot(self) -> Optional[int]:
+        """First slot whose count is below ``cap_min``, or None."""
+        cap_min = self.resource.cap_min
+        for i, count in enumerate(self.counts):
+            if count < cap_min[i]:
+                return self.resource.t_min + i
+        return None
 
 
 # ---------------------------------------------------------------------------
-# lower bound
+# soft side: lower bound
 
 
-def slot_excess(t: int, window_start: int, var: PreferenceVariable,
-                duration: int, floor: int):
+def slot_excess(t: int, var: PreferenceVariable, duration: int,
+                floor: int) -> Optional[int]:
     """Extra penalty the activity must pay, beyond ``floor``, to execute at t.
 
-    Considers the live starts s with max(window_start, t-duration+1) <= s <= t
-    — exactly those putting the activity in execution at t, clamped at the
-    window start.  Returns :data:`NOT_RUNNABLE` when no such start is live,
-    otherwise max(0, cheapest covering penalty - floor).
+    Considers the live starts s with t-duration+1 <= s <= t: exactly those
+    putting the activity in execution at t, wherever the resource window
+    begins.  Returns None when no such start is live, otherwise
+    max(0, cheapest covering penalty - floor).
     """
     live = var._live
     penalty = var._penalty
     best = None
-    for s in range(max(window_start, t - duration + 1, 0), min(t + 1, len(live))):
+    for s in range(max(t - duration + 1, 0), min(t + 1, len(live))):
         if live[s]:
             p = penalty[s]
             if best is None or p < best:
                 best = p
     if best is None:
-        return NOT_RUNNABLE
+        return None
     return best - floor if best > floor else 0
 
 
@@ -170,8 +167,8 @@ def contribution_with_quota(
         t = resource.t_min + offset
         ratios = []
         for aid, var, dur, weight in info:
-            excess = slot_excess(t, resource.t_min, var, dur, table[aid])
-            if excess is not NOT_RUNNABLE:
+            excess = slot_excess(t, var, dur, table[aid])
+            if excess is not None:
                 ratios.append((excess * weight, aid))
         if len(ratios) < need:
             raise ResourceInfeasible(resource.name, t, need, len(ratios))

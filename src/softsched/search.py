@@ -16,8 +16,11 @@ the best solution seen.
 
 Pruning combines the cost already committed (the penalties at assigned
 values), the cheapest-value sum over unassigned variables, and optionally
-the resource bound :func:`resource_bound`, recomputed at every search depth
-that is a multiple of ``lb_period``.  The cheapest-value sum is not
+the resource bound :func:`resource_bound`, recomputed at every node.  Hard
+capacities are counted on one :class:`softsched.cumulative.Occupancy` per
+resource: each assignment places the variable on the resources that hold
+it, an overflow fails the child, and a leaf must leave no slot under
+``cap_min``; the bound reads the same counts.  The cheapest-value sum is not
 recomputed: every variable keeps its cheapest live value current through
 its trailed mutations, and the trail keeps the sum of those over the
 unassigned variables (``Trail.base_bound``), so the base bound costs O(1)
@@ -37,9 +40,10 @@ from math import floor
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from .core import PreferenceVariable, SchedulingError, Trail
-from .cumulative import BoundMode, ResourceInfeasible, contribution_with_quota
+from .cumulative import (BoundMode, Occupancy, ResourceInfeasible,
+                         contribution_with_quota)
 from .disjunctive import post_network, violation_profile
-from .instance import Instance, Resource
+from .instance import Instance
 
 
 class Status(Enum):
@@ -55,7 +59,6 @@ class SearchConfig:
     node_limit: Optional[int] = None
     violation_limit: Optional[int] = None   # cap on any activity's incident violation
     lb_mode: BoundMode = BoundMode.NONE
-    lb_period: int = 1
 
     def __post_init__(self):
         if self.time_limit is not None and self.time_limit <= 0:
@@ -64,8 +67,6 @@ class SearchConfig:
             raise ValueError("node limit must be positive")
         if self.violation_limit is not None and self.violation_limit < 0:
             raise ValueError("violation limit must be >= 0")
-        if self.lb_period < 1:
-            raise ValueError("lb period must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,6 @@ class SolveResult:
 
 ProgressSink = Callable[[Incumbent], None]
 CancelCheck = Callable[[], bool]
-
-
-class _CapacityOverflow(SchedulingError):
-    """Internal: an assignment pushed a resource past cap_max."""
 
 
 Ranking = List[List[PreferenceVariable]]
@@ -136,39 +133,6 @@ def select_variable(ranking: Ranking) -> Optional[PreferenceVariable]:
 def order_values(var: PreferenceVariable) -> List[int]:
     """Live slots, cheapest penalty first, ties by earlier slot."""
     return [slot for _pen, slot in sorted((pen, slot) for slot, pen in var.items())]
-
-
-class _LiveResource:
-    """Occupancy counters for one resource, maintained incrementally."""
-
-    __slots__ = ("resource", "occ")
-
-    def __init__(self, resource: Resource):
-        self.resource = resource
-        self.occ = [0] * (resource.t_max - resource.t_min + 1)
-
-    def indices(self, start: int, duration: int) -> range:
-        r = self.resource
-        lo = max(start, r.t_min) - r.t_min
-        hi = min(start + duration - 1, r.t_max) - r.t_min
-        return range(lo, hi + 1)
-
-    def place(self, start: int, duration: int, trail: Trail) -> None:
-        cap_max = self.resource.cap_max
-        for i in self.indices(start, duration):
-            self.occ[i] += 1
-            trail.push_occupancy(self.occ, i, 1)
-            if self.occ[i] > cap_max[i]:
-                raise _CapacityOverflow(
-                    f"resource {self.resource.name!r} over capacity "
-                    f"at slot {self.resource.t_min + i}")
-
-    def deficit_slot(self) -> Optional[int]:
-        cap_min = self.resource.cap_min
-        for i, count in enumerate(self.occ):
-            if count < cap_min[i]:
-                return self.resource.t_min + i
-        return None
 
 
 def resource_bound(instance: Instance,
@@ -225,11 +189,11 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     trail = Trail()
     trail.base_bound = sum(var.min_penalty()[1] for var in variables.values())
     post_network(instance, variables, limit=config.violation_limit)
-    live_resources = [_LiveResource(r) for r in instance.resources]
-    holds: Dict[int, List[_LiveResource]] = {aid: [] for aid in variables}
-    for live in live_resources:
-        for aid in live.resource.members:
-            holds[aid].append(live)
+    resources = [Occupancy(r) for r in instance.resources]
+    holds: Dict[int, List[Occupancy]] = {aid: [] for aid in variables}
+    for occ in resources:
+        for aid in occ.resource.members:
+            holds[aid].append(occ)
     ranking = rank_variables(
         variables, {aid: len(arcs) for aid, arcs in instance.incident.items()})
     durations = {a.id: a.duration for a in instance.activities}
@@ -239,19 +203,19 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     emitted = 0
     node_limit = config.node_limit
     use_lb = config.lb_mode is not BoundMode.NONE
-    occupancy = [live.occ for live in live_resources]  # updated in place
+    occupancy = [occ.counts for occ in resources]  # updated in place
 
     # One choice point per open node: (variable, untried slots with the next
-    # one last, node cost, node depth, trail mark its children rewind to).
+    # one last, node cost, trail mark its children rewind to).
     stack: List[tuple] = []
-    depth = cost = 0
+    cost = 0
     exhausted = True
     while True:
-        # Visit the node at (depth, cost): prune it, record it as a leaf, or
-        # open its choice point.
+        # Visit the current node: prune it, record it as a leaf, or open its
+        # choice point.
         rewind = True
         bound = trail.base_bound
-        if use_lb and depth % config.lb_period == 0:
+        if use_lb:
             try:
                 bound += resource_bound(instance, variables, config.lb_mode,
                                         occupancy)
@@ -262,9 +226,9 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
             if var is not None:
                 slots = order_values(var)
                 slots.reverse()
-                stack.append((var, slots, cost, depth, trail.mark()))
+                stack.append((var, slots, cost, trail.mark()))
                 rewind = False
-            elif all(live.deficit_slot() is None for live in live_resources):
+            elif all(occ.deficit_slot() is None for occ in resources):
                 assignment = {aid: v.assignment for aid, v in variables.items()}
                 if (config.violation_limit is None or not instance.pairs
                         or max(violation_profile(instance, assignment).values())
@@ -278,7 +242,7 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
         # Step to the next child of the deepest open choice point.  While
         # ``rewind`` is set, a child of the top one has just finished.
         while stack:
-            var, slots, node_cost, node_depth, mark = stack[-1]
+            var, slots, node_cost, mark = stack[-1]
             if rewind:
                 trail.undo_to(mark)
             if not slots:
@@ -294,12 +258,12 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
             nodes += 1
             try:
                 var.assign(slot, trail)
-                for live in holds[var.id]:
-                    live.place(slot, durations[var.id], trail)
+                for occ in holds[var.id]:
+                    occ.place(slot, durations[var.id], trail)
             except SchedulingError:
                 rewind = True
                 continue
-            depth, cost = node_depth + 1, node_cost + var.penalty(slot)
+            cost = node_cost + var.penalty(slot)
             break
         if not stack or not exhausted:
             break

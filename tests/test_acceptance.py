@@ -14,9 +14,11 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+from conftest import exhaustive_profile
 from softsched import (
-    BoundMode, Objective, SearchConfig, Status, enumerate_optimum, generate,
-    parse_instance, solve, solve_min_worst_violation, verify_bound,
+    Activity, BoundMode, Instance, Objective, Resource, SearchConfig, SoftPair,
+    Status, enumerate_optimum, generate, parse_instance, solve,
+    solve_min_worst_violation, verify_bound,
 )
 from softsched.cli import main
 from softsched.core import PreferenceVariable, Trail
@@ -162,6 +164,57 @@ def test_c3_resource_bound_holds_at_interior_nodes(corpus):
                     charged += extra > 0
     assert checked >= 1500 and refuted >= 100 and charged >= 100, (
         checked, refuted, charged)
+
+
+def sub_window_instance(rng):
+    """One resource on a window after slot 0, members of duration 1-3, and a
+    ``cap_exp`` of the per-slot occupancy minima, so EXP mode is sound."""
+    horizon = rng.randint(4, 7)
+    acts = []
+    for aid in range(rng.randint(3, 5)):
+        dur = rng.randint(1, 3)
+        fit = horizon - dur + 1
+        starts = rng.sample(range(fit), rng.randint(1, min(3, fit)))
+        acts.append(Activity(aid, dur, 10, tuple(
+            (s, rng.choice((0, 0, 1, 3, 5))) for s in sorted(starts))))
+    pairs = tuple(SoftPair(a.id, b.id, rng.randint(1, 4))
+                  for i, a in enumerate(acts) for b in acts[i + 1:]
+                  if rng.random() < 0.4)
+    t_min = rng.randint(1, horizon - 2)
+    t_max = rng.randint(t_min, horizon - 1)
+    width = t_max - t_min + 1
+    members = tuple(a.id for a in acts)
+    cap_min = tuple(int(rng.random() < 0.5) for _ in range(width))
+    cap_max = tuple(rng.randint(1, len(members)) for _ in range(width))
+    draft = Instance(horizon, tuple(acts), pairs, (
+        Resource("late", members, t_min, t_max, cap_min, cap_max, cap_min),))
+    profile = exhaustive_profile(draft)
+    cap_exp = tuple(max(lo, seen) for lo, seen in zip(cap_min, profile.min_occ[0]))
+    return replace(draft, resources=(replace(draft.resources[0], cap_exp=cap_exp),))
+
+
+def test_c3_bounds_hold_on_sub_windows_with_multi_slot_members():
+    """A member started before its resource's window still runs into it: on
+    random sub-windows the root bounds stay below the optimum, and search
+    under every bound mode reaches the oracle's status and optimum."""
+    rng = random.Random(10)
+    feasible = charged = 0
+    for case in range(150):
+        inst = sub_window_instance(rng)
+        oracle = enumerate_optimum(inst)
+        report = verify_bound(inst, name=f"sub{case}")
+        for mode in ALL_MODES:
+            out = solve(inst, SearchConfig(lb_mode=mode))
+            if oracle.feasible:
+                assert out.status is Status.OPTIMAL, (case, mode)
+                assert out.best.cost == oracle.optimum, (case, mode)
+            else:
+                assert out.status is Status.INFEASIBLE, (case, mode)
+        if oracle.feasible:
+            feasible += 1
+            charged += report.bounds[BoundMode.EXP] > sum(
+                min(cost for _s, cost in a.domain) for a in inst.activities)
+    assert feasible >= 100 and charged >= 8, (feasible, charged)
 
 
 def test_c4_threshold_filtering_is_exact(corpus):

@@ -64,6 +64,15 @@ def test_solve_infeasible(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_solve_min_bound_sees_a_start_before_the_window(tmp_path, capsys):
+    # the only start, 0, runs for two slots into the window [1, 1]
+    act = Activity(1, 2, 5, ((0, 0),))
+    res = Resource("late", (1,), 1, 1, (1,), (1,), (1,))
+    path = write_instance(tmp_path / "late.json", Instance(3, (act,), (), (res,)))
+    assert main(["solve", path, "--lb", "min"]) == 0
+    assert json.loads(capsys.readouterr().out)["cost"] == 0
+
+
 def test_solve_unknown_within_limits(tmp_path, capsys):
     path = write_instance(tmp_path / "big.json", clique(6, 3))
     assert main(["solve", path, "--node-limit", "1"]) == 4
@@ -191,6 +200,14 @@ def test_report_catches_tampering(easy, tmp_path, capsys):
     bad.write_text(json.dumps(stripped))
     assert main(["report", easy, str(bad)]) == 1
     assert "misses activities" in capsys.readouterr().err
+
+    for extra, message in (({"id": 7, "start": 0}, "unknown activities [7]"),
+                           ({"id": 2, "start": 0}, "repeats activities [2]")):
+        padded = json.loads(sol.read_text())
+        padded["assignment"].append(extra)
+        bad.write_text(json.dumps(padded))
+        assert main(["report", easy, str(bad)]) == 1
+        assert message in capsys.readouterr().err
 
     outside = json.loads(sol.read_text())
     outside["assignment"][0]["start"] = 99

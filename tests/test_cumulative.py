@@ -1,15 +1,15 @@
-"""Capacity checks and the expected-occupancy lower bound."""
+"""Occupancy counting and the resource lower bound."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from softsched import Activity, BoundMode, Instance, Resource
+from softsched import Activity, BoundMode, Instance, Resource, verify_bound
 from softsched.core import PreferenceVariable, Trail
 from softsched.cumulative import (
-    NOT_RUNNABLE, ResourceInfeasible, check_atleast, check_cumulative_max,
-    contribution_with_quota, slot_excess,
+    CapacityOverflow, Occupancy, ResourceInfeasible, contribution_with_quota,
+    slot_excess,
 )
 from softsched.search import resource_bound
 
@@ -23,47 +23,76 @@ def flat(cap, width):
 
 
 def test_occupancy_checks():
-    acts = [Activity(1, 2, 5, ((0, 0), (1, 0))), Activity(2, 1, 5, ((0, 0), (1, 0), (2, 0)))]
     res = Resource("room", (1, 2), 0, 2, flat(0, 3), flat(1, 3), flat(0, 3))
-    inst = make_instance(3, acts, [res])
-    assert check_cumulative_max(res, inst, {1: 0, 2: 2}) is None
-    assert check_cumulative_max(res, inst, {1: 0, 2: 1}) == 1
-    # partial assignments only count what is placed
-    assert check_cumulative_max(res, inst, {1: 0}) is None
+    trail = Trail()
+    occ = Occupancy(res)
+    occ.place(0, 2, trail)
+    assert occ.counts == [1, 1, 0]
+    occ.place(2, 1, trail)
+    assert occ.counts == [1, 1, 1]
+    occ = Occupancy(res)
+    occ.place(0, 2, trail)
+    mark = trail.mark()
+    with pytest.raises(CapacityOverflow) as exc:
+        occ.place(1, 1, trail)
+    assert exc.value.slot == 1 and exc.value.resource == "room"
+    assert "resource 'room' exceeds cap_max at slot 1" in str(exc.value)
+    # the overflowing bump is on the trail, so undoing it unplaces the member
+    trail.undo_to(mark)
+    assert occ.counts == [1, 1, 0]
 
     need = Resource("room", (1, 2), 0, 2, (1, 1, 0), flat(2, 3), (1, 1, 0))
-    inst2 = make_instance(3, acts, [need])
-    assert check_atleast(need, inst2, {1: 0, 2: 2}) is None
-    assert check_atleast(need, inst2, {1: 1, 2: 2}) == 0
-    with pytest.raises(KeyError):
-        check_atleast(need, inst2, {1: 0})
+    occ = Occupancy(need)
+    # nothing placed yet, so every slot with a positive cap_min is short
+    assert occ.deficit_slot() == 0
+    occ.place(1, 2, trail)
+    occ.place(2, 1, trail)
+    assert occ.deficit_slot() == 0
+    occ = Occupancy(need)
+    occ.place(0, 2, trail)
+    occ.place(2, 1, trail)
+    assert occ.deficit_slot() is None
+
+
+def test_occupancy_clips_to_the_window():
+    res = Resource("late", (1,), 2, 3, (1, 1), (1, 1), (1, 1))
+    trail = Trail()
+    occ = Occupancy(res)
+    occ.place(0, 2, trail)           # ends before the window
+    assert occ.counts == [0, 0] and len(trail) == 0
+    occ.place(1, 5, trail)           # starts before it and runs past its end
+    assert occ.counts == [1, 1] and len(trail) == 2
+    assert occ.deficit_slot() is None
+    trail.undo_to(0)
+    assert occ.counts == [0, 0] and occ.deficit_slot() == 2
 
 
 def test_repeated_member_counts_per_copy():
-    act = Activity(1, 1, 5, ((0, 0),))
     res = Resource("lab", (1, 1), 0, 0, (0,), (1,), (0,))
-    inst = make_instance(1, [act], [res])
-    assert check_cumulative_max(res, inst, {1: 0}) == 0
+    occ = Occupancy(res)
+    trail = Trail()
+    with pytest.raises(CapacityOverflow) as exc:
+        for _copy in res.members:
+            occ.place(0, 1, trail)
+    assert exc.value.slot == 0
 
 
 def test_slot_excess_scans_covering_starts():
     v = PreferenceVariable(0, [(0, 5), (1, 0), (2, 3)])
-    assert slot_excess(0, 0, v, 2, 0) == 5
-    assert slot_excess(1, 0, v, 2, 0) == 0
-    assert slot_excess(2, 0, v, 2, 0) == 0
-    assert slot_excess(0, 0, v, 2, 2) == 3
+    assert slot_excess(0, v, 2, 0) == 5
+    assert slot_excess(1, v, 2, 0) == 0
+    assert slot_excess(2, v, 2, 0) == 0
+    assert slot_excess(0, v, 2, 2) == 3
     # floors above every covering penalty clamp to zero, never negative
-    assert slot_excess(0, 0, v, 2, 9) == 0
+    assert slot_excess(0, v, 2, 9) == 0
 
 
 def test_slot_excess_window_clamp_and_not_runnable():
     v = PreferenceVariable(0, [(0, 5), (2, 3)])
-    # start 0 covers slot 1, but the window begins at 1 so it is invisible
-    assert slot_excess(1, 1, v, 2, 0) is NOT_RUNNABLE
-    assert slot_excess(1, 0, v, 2, 0) == 5
+    # start 0 covers slot 1, also for a resource whose window begins at 1
+    assert slot_excess(1, v, 2, 0) == 5
     far = PreferenceVariable(0, [(5, 0)])
-    assert slot_excess(0, 0, far, 1, 0) is NOT_RUNNABLE
-    assert "NOT_RUNNABLE" in repr(NOT_RUNNABLE)
+    assert slot_excess(0, far, 1, 0) is None
 
 
 def quota_fixture():
@@ -151,6 +180,25 @@ def test_expected_quota_tightens_the_bound():
     assert resource_bound(inst, variables, BoundMode.EXP, occupancy) == 1
 
 
+def late_window(domain):
+    """One duration-2 activity that must occupy the one-slot window [1, 1]."""
+    act = Activity(1, 2, 5, domain)
+    res = Resource("late", (1,), 1, 1, (1,), (1,), (1,))
+    return make_instance(3, [act], [res])
+
+
+def test_bound_counts_a_start_before_the_window():
+    # start 0 runs into slot 1 at penalty 0, so nothing need be charged
+    inst = late_window(((0, 0), (1, 5)))
+    report = verify_bound(inst)
+    assert report.optimum == 0
+    assert report.bounds[BoundMode.MIN] <= 0
+    assert report.bounds[BoundMode.EXP] <= 0
+    only_early = late_window(((0, 0),))
+    assert resource_bound(only_early, variables_of(only_early), BoundMode.MIN,
+                          empty_occupancy(only_early)) == 0
+
+
 def test_resource_bound_charges_only_what_assigned_members_leave():
     acts = [Activity(i, 1, 5, ((0, 2 * i), (1, 0))) for i in (1, 2, 3)]
     res = Resource("room", (1, 2, 3), 0, 0, (2,), (3,), (2,))
@@ -177,8 +225,8 @@ def fraction_contribution(resource, instance, variables, table, quota):
         ratios = []
         for aid in resource.members:
             dur = instance.activity(aid).duration
-            excess = slot_excess(t, resource.t_min, variables[aid], dur, table[aid])
-            if excess is not NOT_RUNNABLE:
+            excess = slot_excess(t, variables[aid], dur, table[aid])
+            if excess is not None:
                 ratios.append((Fraction(excess, dur), aid))
         if len(ratios) < need:
             raise ResourceInfeasible(resource.name, t, need, len(ratios))

@@ -116,8 +116,6 @@ def test_config_validation():
         SearchConfig(node_limit=0)
     with pytest.raises(ValueError):
         SearchConfig(violation_limit=-1)
-    with pytest.raises(ValueError):
-        SearchConfig(lb_period=0)
 
 
 def unit(n, horizon, pairs, costs=None, resources=()):
@@ -261,6 +259,38 @@ def test_min_worst_violation_loop():
     spread = solve_min_worst_violation(roomy)
     assert spread.status is Status.OPTIMAL
     assert weighted_violation(roomy, spread.best.assignment) == 0
+
+
+def test_min_worst_violation_limits_and_infeasibility():
+    inst = unit(3, 2, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
+    free = solve_min_worst_violation(inst)
+    assert free.status is Status.OPTIMAL
+    # a generous time limit changes nothing
+    timed = solve_min_worst_violation(inst, SearchConfig(time_limit=600))
+    assert (timed.status, timed.nodes, timed.best.assignment) == (
+        free.status, free.nodes, free.best.assignment)
+
+    act = Activity(1, 1, 5, ((0, 0), (1, 0)))
+    full = Resource("r", (1,), 0, 1, (1, 1), (1, 1), (1, 1))
+    infeasible = solve_min_worst_violation(Instance(2, (act,), (), (full,)))
+    assert infeasible.status is Status.INFEASIBLE and infeasible.best is None
+
+    clique = unit(4, 4, [(a, b, 2) for a in range(1, 5) for b in range(a + 1, 5)])
+    cut = solve_min_worst_violation(clique, SearchConfig(node_limit=1))
+    assert cut.status is Status.UNKNOWN and cut.best is None
+
+
+def test_min_worst_violation_spends_one_node_budget_across_rounds():
+    inst = unit(3, 2, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
+    first = solve(inst)
+    free = solve_min_worst_violation(inst)
+    # the budget outlasts the first round and runs out inside a later one
+    assert first.nodes < free.nodes
+    limit = first.nodes + 1
+    out = solve_min_worst_violation(inst, SearchConfig(node_limit=limit))
+    assert out.status is Status.FEASIBLE
+    assert out.nodes == limit
+    assert out.best is not None
 
 
 def incumbent_trace(result, seen):
