@@ -227,6 +227,10 @@ def _cmd_report(args) -> int:
         return 1
     for act in instance.activities:
         start = assignment[act.id]
+        if type(start) is not int:  # 1.0 and true compare equal to slot 1
+            print(f"softsched: activity {act.id} starts at {start!r}, "
+                  f"not an integer slot", file=sys.stderr)
+            return 1
         if not any(start == slot for slot, _cost in act.domain):
             print(f"softsched: activity {act.id} starts at {start!r}, "
                   f"outside its domain", file=sys.stderr)

@@ -117,7 +117,7 @@ class PreferenceVariable:
     parallel penalty array, giving ordered iteration and O(1) membership.
     The initial costs passed at construction are kept frozen alongside the
     current penalties, so the share added by constraint propagation is
-    always recoverable as ``penalty - initial_cost``.
+    always recoverable (:meth:`violation_share`).
 
     The cheapest live ``(slot, penalty)`` is cached.  A removal or a penalty
     increment rescans the domain only when it hits the cached slot; an undo
@@ -165,12 +165,6 @@ class PreferenceVariable:
     def contains(self, slot: int) -> bool:
         return 0 <= slot < len(self._live) and self._live[slot]
 
-    def values(self) -> Iterator[int]:
-        """Live slots in ascending order."""
-        for slot, alive in enumerate(self._live):
-            if alive:
-                yield slot
-
     def items(self) -> Iterator[Tuple[int, int]]:
         """(slot, penalty) pairs for live slots, ascending."""
         for slot, alive in enumerate(self._live):
@@ -181,9 +175,6 @@ class PreferenceVariable:
         if not self.contains(slot):
             raise KeyError(f"slot {slot} not in domain of variable {self.id}")
         return self._penalty[slot]
-
-    def initial_cost(self, slot: int) -> int:
-        return self._initial[slot]
 
     def violation_share(self, slot: int) -> int:
         """Propagated weight accumulated on a slot, excluding its initial cost."""

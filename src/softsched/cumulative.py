@@ -19,10 +19,18 @@ is only valid when ``cap_exp`` genuinely understates the occupancy of every
 feasible schedule, which is the caller's modelling obligation.
 
 This module holds the per-resource step: :func:`contribution_with_quota`
-ranks and sums the excesses for an explicit per-slot quota.  The bound
-itself — quotas from the live occupancy, resources charged in turn over one
-shared minimal-weight table — is :func:`softsched.search.resource_bound`,
-the one function both search and ``verify_bound`` use.
+ranks and sums the excesses for an explicit per-slot quota.  It reads each
+member through one row built per call, a runnable flag and a covering
+minimum per slot.  A unit-duration member's start grid already is its
+covering grid, so its row holds the variable's own lists and nothing is
+copied; a longer member's covering grid is built once per call.  Each slot
+with a positive quota is then one comprehension over the rows.
+:func:`slot_excess` is the same covering minimum for one slot and one
+member, kept as the per-slot definition the kernel is tested against.  The
+bound itself — quotas from the live occupancy, resources charged in turn
+over one shared minimal-weight table — is
+:func:`softsched.search.resource_bound`, the one function both search and
+``verify_bound`` use.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceVariable, SchedulingError, Trail
 from .instance import Instance, Resource
@@ -132,6 +140,26 @@ def slot_excess(t: int, var: PreferenceVariable, duration: int,
     return best - floor if best > floor else 0
 
 
+def _covering_grid(var: PreferenceVariable,
+                   duration: int) -> Tuple[List[bool], List[Optional[int]]]:
+    """Per slot t, whether some live start covers t, and the cheapest one.
+
+    A start s covers the slots s .. s+duration-1, so the grid runs
+    ``duration - 1`` slots past the variable's own; its entry at t is what
+    :func:`slot_excess` finds for t with a floor of 0, or None.
+    """
+    penalty = var._penalty
+    cover: List[Optional[int]] = [None] * (len(var._live) + duration - 1)
+    for s, alive in enumerate(var._live):
+        if alive:
+            p = penalty[s]
+            for t in range(s, s + duration):
+                c = cover[t]
+                if c is None or p < c:
+                    cover[t] = p
+    return [c is not None for c in cover], cover
+
+
 def contribution_with_quota(
     resource: Resource,
     instance: Instance,
@@ -149,27 +177,34 @@ def contribution_with_quota(
     activity's selected share.  Raises :class:`ResourceInfeasible` when a
     slot has fewer runnable members than its quota.
 
-    The ratios are ranked and summed as integers scaled by the lcm of the
-    member durations, which keeps them exact; only the returned total and
-    shares are built as fractions.
+    Each member is read through one row built per call: its runnable flags
+    and covering minima (the variable's own lists for a unit member,
+    :func:`_covering_grid` for a longer one), grid length, lcm weight,
+    floor and id.  The ratios are ranked and summed as integers scaled by
+    the lcm of the member durations, which keeps them exact; only the
+    returned total and shares are built as fractions.
     """
     if members is None:
         members = resource.members
     info = [(aid, variables[aid], instance.activity(aid).duration)
             for aid in members]
     scale = math.lcm(*(dur for _aid, _var, dur in info))
-    info = [(aid, var, dur, scale // dur) for aid, var, dur in info]
+    rows = []
+    for aid, var, dur in info:
+        if dur == 1:
+            live, cover = var._live, var._penalty
+        else:
+            live, cover = _covering_grid(var, dur)
+        rows.append((live, cover, len(live), scale // dur, table[aid], aid))
     total = 0
     selected: Dict[int, int] = {}
     for offset, need in enumerate(quota):
         if need <= 0:
             continue
         t = resource.t_min + offset
-        ratios = []
-        for aid, var, dur, weight in info:
-            excess = slot_excess(t, var, dur, table[aid])
-            if excess is not None:
-                ratios.append((excess * weight, aid))
+        ratios = [((c - floor) * weight if (c := cover[t]) > floor else 0, aid)
+                  for live, cover, n, weight, floor, aid in rows
+                  if t < n and live[t]]
         if len(ratios) < need:
             raise ResourceInfeasible(resource.name, t, need, len(ratios))
         ratios.sort()

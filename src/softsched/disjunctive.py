@@ -100,20 +100,17 @@ def post_network(
     instance: Instance,
     variables: Mapping[int, PreferenceVariable],
     limit: Optional[int] = None,
-) -> Dict[int, SoftDisjunctive]:
+) -> None:
     """Post one constraint per activity carrying all its soft arcs.
 
-    Registers both directions of every pair, keyed by activity id.
-    Activities without soft arcs get no handle.
+    Registers both directions of every pair.  Activities without soft arcs
+    get no constraint.
     """
-    handles: Dict[int, SoftDisjunctive] = {}
     for act in instance.activities:
         arcs = [(variables[other], instance.activity(other).duration, weight)
                 for other, weight in instance.incident[act.id]]
         if arcs:
-            handles[act.id] = post_soft_disjunctive(
-                variables[act.id], act.duration, arcs, limit)
-    return handles
+            post_soft_disjunctive(variables[act.id], act.duration, arcs, limit)
 
 
 # ---------------------------------------------------------------------------

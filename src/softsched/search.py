@@ -154,14 +154,16 @@ def resource_bound(instance: Instance,
     """
     if mode is BoundMode.NONE:
         return 0
-    table = {aid: var.min_penalty()[1]
-             for aid, var in variables.items() if var.assignment is None}
+    table = None  # built on the first resource with a positive quota
     bound = 0
     for r, occ in zip(instance.resources, occupancy):
         declared = r.cap_min if mode is BoundMode.MIN else r.cap_exp
         quota = [max(0, declared[i] - occ[i]) for i in range(len(declared))]
         if not any(quota):
             continue
+        if table is None:
+            table = {aid: var.min_penalty()[1]
+                     for aid, var in variables.items() if var.assignment is None}
         members = [aid for aid in r.members if variables[aid].assignment is None]
         total, selected = contribution_with_quota(
             r, instance, variables, table, quota, members)

@@ -235,6 +235,27 @@ def test_report_catches_tampering(easy, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("with_resource", [False, True],
+                         ids=["no-resource", "resource"])
+def test_report_refuses_a_start_that_is_not_an_integer(tmp_path, capsys, start,
+                                                       with_resource):
+    # 1.0 and true compare equal to slot 1, which is in every domain here
+    acts = tuple(Activity(i, 1, 10, ((0, 0), (1, 0), (2, 0))) for i in (1, 2))
+    resources = ((Resource("rooms", (1, 2), 0, 2, (0, 0, 0), (2, 2, 2),
+                           (0, 0, 0)),) if with_resource else ())
+    inst = write_instance(tmp_path / "inst.json",
+                          Instance(3, acts, (), resources))
+    sol = tmp_path / "sol.json"
+    assert main(["solve", inst, "--out", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["assignment"] = [{"id": 1, "start": start}, {"id": 2, "start": 0}]
+    sol.write_text(json.dumps(doc))
+    assert main(["report", inst, str(sol)]) == 1
+    assert (f"activity 1 starts at {start!r}, not an integer slot"
+            in capsys.readouterr().err)
+
+
 def test_module_entry_point_runs_as_subprocess(tmp_path):
     gen = subprocess.run(
         [sys.executable, "-m", "softsched.cli", "generate", "--courses", "8",

@@ -273,3 +273,57 @@ def test_quota_on_mixed_durations_matches_the_fraction_reference():
         assert all(isinstance(share, Fraction) for share in selected.values())
         checked += 1
     assert checked >= 80 and infeasible >= 80
+
+
+def test_quota_on_mutated_search_state_matches_the_fraction_reference():
+    rng = random.Random(11)
+    checked = infeasible = past_grid = early = 0
+    for _case in range(300):
+        acts = []
+        for aid in range(1, rng.randint(2, 7)):
+            dur = rng.choice([1, 1, 2, 3, 4])
+            starts = rng.sample(range(8), rng.randint(2, 6))
+            acts.append(Activity(aid, dur, 5,
+                                 tuple(sorted((s, rng.randint(0, 12)) for s in starts))))
+        t_min = rng.randint(1, 4)
+        t_max = t_min + rng.randint(0, 8)
+        width = t_max - t_min + 1
+        members = tuple(a.id for a in acts)
+        res = Resource("room", members, t_min, t_max, flat(0, width),
+                       flat(len(members), width), flat(0, width))
+        inst = make_instance(16, acts, [res])
+        variables = {a.id: PreferenceVariable(a.id, list(a.domain)) for a in acts}
+        # holes in the live bits, raised penalties and assigned members, as
+        # search leaves them; the last live start is never removed
+        trail = Trail()
+        for _step in range(rng.randint(1, 8)):
+            var = variables[rng.choice(members)]
+            if var.assignment is not None:
+                continue
+            slot = rng.choice([s for s, _pen in var.items()])
+            kind = rng.random()
+            if kind < 0.4 and len(var) > 1:
+                var.remove_value(slot, trail)
+            elif kind < 0.8:
+                var.add_penalty(slot, rng.randint(1, 6), trail)
+            else:
+                var.assign(slot, trail)
+        past_grid += any(t_max >= len(variables[a.id]._live) for a in acts)
+        early += any(a.duration > 1 and s < t_min <= s + a.duration - 1
+                     for a in acts for s, _pen in variables[a.id].items())
+        table = {a.id: rng.randint(0, 4) for a in acts}
+        quota = [rng.randint(0, 3) for _ in range(width)]
+        try:
+            want = fraction_contribution(res, inst, variables, table, quota)
+        except ResourceInfeasible as exc:
+            with pytest.raises(ResourceInfeasible) as got:
+                contribution_with_quota(res, inst, variables, table, quota)
+            assert (got.value.resource, got.value.slot, got.value.needed,
+                    got.value.runnable) == (exc.resource, exc.slot, exc.needed,
+                                            exc.runnable)
+            infeasible += 1
+            continue
+        assert contribution_with_quota(res, inst, variables, table, quota) == want
+        checked += 1
+    assert checked >= 80 and infeasible >= 150
+    assert past_grid >= 150 and early >= 150

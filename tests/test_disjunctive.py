@@ -51,7 +51,7 @@ def test_threshold_removes_overcharged_values():
     trail = Trail()
     post_soft_disjunctive(vi, 2, [(vj, 1, 5)], limit=4)
     vi.assign(2, trail)
-    assert list(vj.values()) == [0, 1, 4]
+    assert [slot for slot, _pen in vj.items()] == [0, 1, 4]
 
 
 def test_assigned_neighbor_is_not_recharged():
@@ -158,7 +158,7 @@ def full_scan_propagate(constraint, trail):
     for other, d_other, weight in constraint.arcs:
         if other.assignment is not None:
             continue
-        for slot in list(other.values()):
+        for slot, _pen in list(other.items()):
             if overlaps(start, d, slot, d_other):
                 other.add_penalty(slot, weight, trail)
                 if limit is not None and other.violation_share(slot) > limit:
@@ -198,7 +198,8 @@ def store_state(variables, trail):
     with variables named by id so two copies compare equal."""
     def named(entry):
         return tuple(x.id if isinstance(x, PreferenceVariable) else x for x in entry)
-    return ([(v._penalty, list(v.values()), v._min_slot, v._min_pen, v.assignment)
+    return ([(v._penalty, [s for s, _p in v.items()], v._min_slot, v._min_pen,
+              v.assignment)
              for v in variables],
             trail.base_bound, [named(entry) for entry in trail._entries])
 
@@ -226,7 +227,7 @@ def test_window_propagation_matches_the_full_scan():
                 if not free:
                     break
                 vid = rng.choice(free)
-                slot = rng.choice(list(variables[vid].values()))
+                slot = rng.choice([slot for slot, _pen in variables[vid].items()])
                 outcomes = []
                 for vars_, trail in copies:
                     mark = trail.mark()

@@ -99,7 +99,7 @@ def test_select_variable_matches_the_reference_key():
                     else:
                         by_id += 1
                 var = variables[aid]
-                var.assign(rng.choice(list(var.values())), trail)
+                var.assign(rng.choice([slot for slot, _pen in var.items()]), trail)
             assert select_variable(ranking) is None
     assert by_penalty > 0 and by_id > 0
 
