@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from .core import Trail
 from .cumulative import BoundMode, CapacityOverflow, Occupancy
-from .disjunctive import violation_profile, weighted_violation, worst_case_satisfaction
+from .disjunctive import violation_profile, worst_case_satisfaction
 from .generator import generate
 from .instance import Instance, InstanceError, parse_instance, serialize_instance
 from .oracle import BoundViolation, Objective, enumerate_optimum, verify_bound
@@ -45,8 +45,8 @@ def build_breakdown(instance: Instance, assignment: Dict[int, int]) -> dict:
         costs = dict(act.domain)
         initial_sum += costs[assignment[act.id]]
         max_initial_sum += max(costs.values())
-    violation = weighted_violation(instance, assignment)
     profile = violation_profile(instance, assignment)
+    violation = sum(profile.values()) // 2  # each overlapping pair counts twice
     if len(instance.activities) >= 2 and instance.total_weight >= 1:
         fuzzy = worst_case_satisfaction(instance, assignment)
         fuzzy_text = f"{fuzzy.numerator}/{fuzzy.denominator}"

@@ -12,8 +12,8 @@ exact prior state on backtrack.  Each variable keeps its cheapest live value
 up to date through those mutations, and the trail keeps the running sum of
 those cheapest penalties over the unassigned variables: search reads its
 base bound from it in O(1) instead of rescanning every domain.  An
-assignment is one trail record that holds every slot it dropped and the
-cheapest value it replaced, so backtracking over it puts both back directly.
+assignment swaps in a one-hot liveness list, and its one trail record keeps
+the replaced list and cheapest value, so backtracking puts both back in O(1).
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ class Trail:
 
     - a removal: one slot that left a variable's domain;
     - a penalty increment: one slot's penalty and the amount added to it;
-    - an assignment: the variable, every slot the assignment dropped, and
-      the cheapest ``(slot, penalty)`` it had before;
+    - an assignment: the variable, the liveness list the assignment
+      replaced, and the cheapest ``(slot, penalty)`` it had before;
     - an occupancy bump: one counter of a resource and its increment.
 
     Undoing a suffix of entries restores the touched objects bit-for-bit.
+    Records older than an assignment act on the list it replaced, which is
+    back in place by the time they are undone.
 
     ``base_bound`` is the running sum of the cheapest live penalty over the
     unassigned variables.  Every mutation and every undo adds the change it
@@ -72,12 +74,6 @@ class Trail:
         """Current position; pass to :meth:`undo_to` to rewind."""
         return len(self._entries)
 
-    def push_remove(self, var: "PreferenceVariable", slot: int) -> None:
-        self._entries.append((Trail._REMOVE, var, slot))
-
-    def push_penalty(self, var: "PreferenceVariable", slot: int, delta: int) -> None:
-        self._entries.append((Trail._PENALTY, var, slot, delta))
-
     def push_occupancy(self, counts: List[int], index: int, delta: int) -> None:
         self._entries.append((Trail._OCCUPANCY, counts, index, delta))
 
@@ -93,14 +89,10 @@ class Trail:
             elif tag == Trail._REMOVE:
                 _, var, slot = entry
                 var._live[slot] = True
-                var._count += 1
                 var._offer(slot, self)
             elif tag == Trail._ASSIGN:
-                _, var, removed, min_slot, min_pen = entry
-                live = var._live
-                for slot in removed:
-                    live[slot] = True
-                var._count += len(removed)
+                _, var, live, min_slot, min_pen = entry
+                var._live = live
                 var._min_slot, var._min_pen = min_slot, min_pen
                 var.assignment = None
                 self.base_bound += min_pen
@@ -126,7 +118,7 @@ class PreferenceVariable:
     """
 
     __slots__ = ("id", "assignment", "watchers", "_live", "_penalty", "_initial",
-                 "_count", "_min_slot", "_min_pen")
+                 "_min_slot", "_min_pen")
 
     def __init__(self, var_id: int, pairs: List[Tuple[int, int]]):
         if not pairs:
@@ -149,14 +141,13 @@ class PreferenceVariable:
         self._live = live
         self._penalty = penalty
         self._initial = list(penalty)
-        self._count = len(pairs)
         cost, slot = min((cost, slot) for slot, cost in pairs)
         self._min_slot, self._min_pen = slot, cost
 
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._count
+        return sum(self._live)
 
     def __repr__(self) -> str:
         dom = ", ".join(f"{s}:{p}" for s, p in self.items())
@@ -182,23 +173,26 @@ class PreferenceVariable:
 
     def min_penalty(self) -> Tuple[int, int]:
         """(slot, penalty) with the smallest penalty; ties go to the smallest slot."""
-        if self._count == 0:
+        if self._min_slot < 0:
             raise ValueError(f"variable {self.id} has an empty domain")
         return self._min_slot, self._min_pen
 
     # -- trailed mutation --------------------------------------------------
 
     def remove_value(self, slot: int, trail: Trail) -> None:
-        """Drop a live slot; raises :class:`DomainWipeout` if the domain empties."""
+        """Drop a live slot; raises :class:`DomainWipeout` if the domain empties.
+
+        Only removing the cached cheapest slot can empty the domain, and
+        then its rescan finds no live slot.
+        """
         if not self.contains(slot):
             raise ValueError(f"slot {slot} not in domain of variable {self.id}")
         self._live[slot] = False
-        self._count -= 1
-        trail.push_remove(self, slot)
+        trail._entries.append((Trail._REMOVE, self, slot))
         if slot == self._min_slot:
             self._rescan(trail)
-        if self._count == 0:
-            raise DomainWipeout(self.id)
+            if self._min_slot < 0:
+                raise DomainWipeout(self.id)
 
     def add_penalty(self, slot: int, delta: int, trail: Trail) -> None:
         """Increase a live slot's penalty.
@@ -213,30 +207,28 @@ class PreferenceVariable:
         if delta == 0 or not (0 <= slot < len(live) and live[slot]):
             return
         self._penalty[slot] += delta
-        trail.push_penalty(self, slot, delta)
+        trail._entries.append((Trail._PENALTY, self, slot, delta))
         if slot == self._min_slot:
             self._rescan(trail)
 
     def assign(self, slot: int, trail: Trail) -> None:
         """Bind the variable to one slot and notify suspended constraints.
 
-        All other values are removed, and one trail record keeps them with
-        the cheapest value they replace.  Then every watcher runs in
-        registration order before control returns.  Watchers may raise
-        :class:`DomainWipeout`; the trail still covers everything done so far.
+        A one-hot liveness list replaces the domain's, and one trail record
+        keeps the replaced list with the cheapest value it held.  Then every
+        watcher runs in registration order before control returns.  Watchers
+        may raise :class:`DomainWipeout`; the trail still covers everything
+        done so far.
         """
         if self.assignment is not None:
             raise ValueError(f"variable {self.id} is already assigned")
         if not self.contains(slot):
             raise ValueError(f"slot {slot} not in domain of variable {self.id}")
-        live = self._live
-        removed = [other for other, alive in enumerate(live)
-                   if alive and other != slot]
-        for other in removed:
-            live[other] = False
-        self._count = 1
+        live = [False] * len(self._live)
+        live[slot] = True
         trail._entries.append(
-            (Trail._ASSIGN, self, removed, self._min_slot, self._min_pen))
+            (Trail._ASSIGN, self, self._live, self._min_slot, self._min_pen))
+        self._live = live
         trail.base_bound -= self._min_pen  # leaves the unassigned sum
         self._min_slot, self._min_pen = slot, self._penalty[slot]
         self.assignment = slot

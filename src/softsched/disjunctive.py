@@ -117,17 +117,6 @@ def post_network(
 # evaluators over complete assignments
 
 
-def weighted_violation(instance: Instance, assignment: Mapping[int, int]) -> int:
-    """Total weight of overlapping soft pairs; each unordered pair counts once."""
-    total = 0
-    by_id = instance.by_id
-    for p in instance.pairs:
-        if overlaps(assignment[p.a], by_id[p.a].duration,
-                    assignment[p.b], by_id[p.b].duration):
-            total += p.weight
-    return total
-
-
 def violation_profile(instance: Instance,
                       assignment: Mapping[int, int]) -> Dict[int, int]:
     """Incident violation for every activity, in one pass over the pairs."""

@@ -18,8 +18,9 @@ from typing import Dict, List, Tuple, Union
 FORMAT_VERSION = 1
 
 #: Largest total slot grid an instance may need: the sum over activities of
-#: (latest start + 1).  Each variable stores three lists as long as its grid
-#: (about 24 bytes per slot), so this caps that storage near 48 MB.
+#: (latest start + 1).  Each variable stores three lists as long as its grid,
+#: and an assigned one also the liveness list its trail record keeps (about
+#: 32 bytes per slot in all), so this caps that storage near 64 MB.
 MAX_GRID_SLOTS = 2_000_000
 
 # Error codes carried by InstanceError.
@@ -88,10 +89,19 @@ class Resource:
 
 @dataclass(frozen=True)
 class Instance:
+    """A whole problem; however it is built, grids past :data:`MAX_GRID_SLOTS` are refused."""
+
     horizon: int
     activities: Tuple[Activity, ...]
     pairs: Tuple[SoftPair, ...]
     resources: Tuple[Resource, ...]
+
+    def __post_init__(self):
+        # (slot, cost) pairs order by slot first, so max() gives the latest start
+        grid = sum(max(a.domain, default=(-1,))[0] + 1 for a in self.activities)
+        if grid > MAX_GRID_SLOTS:
+            raise InstanceError(GRID_TOO_LARGE, "instance", f"activities need {grid} "
+                                f"grid slots, more than the limit of {MAX_GRID_SLOTS}")
 
     @cached_property
     def by_id(self) -> Dict[int, Activity]:

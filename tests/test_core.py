@@ -90,6 +90,13 @@ def test_remove_to_wipeout():
     # the wiping removal is still on the trail
     trail.undo_to(0)
     assert [slot for slot, _pen in v.items()] == [0, 1]
+    # removing any slot but the cheapest never empties the domain
+    w = PreferenceVariable(5, [(0, 2), (1, 0), (2, 1), (3, 0)])
+    for slot in (3, 0, 2):
+        w.remove_value(slot, trail)
+        assert w.min_penalty() == (1, 0)
+    with pytest.raises(DomainWipeout):
+        w.remove_value(1, trail)
 
 
 def test_assign_removes_rest_and_fires_watchers_in_order():
@@ -239,7 +246,8 @@ def random_network(rng):
 
 def run_random_steps(rng, variables, steps):
     """Random assign/propagate, penalty, removal and undo steps, checking the
-    incremental state after each; returns how many steps wiped a domain out."""
+    incremental state after each, and that a domain is empty exactly when the
+    step raised DomainWipeout naming it; returns how many steps did."""
     trail = Trail()
     trail.base_bound = scratch_sum(variables)
     start = [snapshot(v) for v in variables]
@@ -270,10 +278,13 @@ def run_random_steps(rng, variables, steps):
                 trail.undo_to(0)
                 marks.clear()
                 assert [snapshot(v) for v in variables] == start
-        except DomainWipeout:
+        except DomainWipeout as exc:
             wipeouts += 1
+            assert [v.id for v in variables if not len(v)] == [exc.var_id]
             check_incremental_state(variables, trail)
             trail.undo_to(mark)  # as search does after a wipeout
+        else:
+            assert all(len(v) for v in variables)
         check_incremental_state(variables, trail)
     trail.undo_to(0)
     check_incremental_state(variables, trail)

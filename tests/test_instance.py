@@ -149,6 +149,19 @@ def test_grid_limit():
     assert exc.value.where == "$.activities[0].domain"
 
 
+def test_grid_limit_holds_for_an_instance_built_in_process():
+    # refused when built, before any solver allocates a grid
+    with pytest.raises(InstanceError) as exc:
+        Instance(10**9, (Activity(0, 1, 0, ((10**9 - 1, 0),)),), (), ())
+    assert exc.value.code == "grid-too-large"
+    acts = (Activity(0, 1, 0, ((MAX_GRID_SLOTS - 2, 0), (0, 0))),
+            Activity(1, 1, 0, ((0, 0),)))
+    Instance(MAX_GRID_SLOTS, acts, (), ())  # exactly the budget, any order
+    with pytest.raises(InstanceError):
+        Instance(MAX_GRID_SLOTS, acts + (Activity(2, 1, 0, ((0, 0),)),), (), ())
+    Instance(1, (Activity(0, 1, 0, ()),), (), ())  # an empty domain needs no grid
+
+
 def test_capacity_errors():
     d = doc()
     d["resources"][0]["cap_max"] = [2, 2]

@@ -11,7 +11,7 @@ from softsched import (
     SoftPair, Status, generate, solve, solve_min_worst_violation,
 )
 from softsched.core import PreferenceVariable, Trail
-from softsched.disjunctive import post_network, weighted_violation
+from softsched.disjunctive import post_network, violation_profile
 from softsched.search import (order_values, rank_variables,
                               restart_tightening, select_variable)
 
@@ -36,7 +36,8 @@ def brute_force(instance):
                 break
         if not ok:
             continue
-        cost = sum(c[1] for c in combo) + weighted_violation(instance, assignment)
+        cost = (sum(c[1] for c in combo)
+                + sum(violation_profile(instance, assignment).values()) // 2)
         if best is None or cost < best:
             best = cost
     return best
@@ -133,7 +134,7 @@ def test_separable_instance_solves_to_zero():
     res = solve(inst)
     assert res.status is Status.OPTIMAL
     assert res.best.cost == 0
-    assert weighted_violation(inst, res.best.assignment) == 0
+    assert sum(violation_profile(inst, res.best.assignment).values()) // 2 == 0
     assert set(res.best.assignment) == {1, 2, 3}
 
 
@@ -258,7 +259,7 @@ def test_min_worst_violation_loop():
     roomy = unit(3, 3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
     spread = solve_min_worst_violation(roomy)
     assert spread.status is Status.OPTIMAL
-    assert weighted_violation(roomy, spread.best.assignment) == 0
+    assert sum(violation_profile(roomy, spread.best.assignment).values()) // 2 == 0
 
 
 def test_min_worst_violation_limits_and_infeasibility():
