@@ -202,14 +202,22 @@ def _cmd_report(args) -> int:
         instance = _load_instance(args.instance)
         with open(args.solution, "rb") as fh:
             doc = json.loads(fh.read().decode("utf-8"))
-        entries = Counter(entry["id"] for entry in doc["assignment"])
+        ids = [entry["id"] for entry in doc["assignment"]]
+        entries = Counter(ids)
         assignment = {entry["id"]: entry["start"] for entry in doc["assignment"]}
         stored = doc["breakdown"]
+        if not isinstance(stored, dict):
+            raise TypeError(f"breakdown is {stored!r}, not an object")
         stored_cost = doc["cost"]
-    except (OSError, InstanceError, KeyError, TypeError,
+    except (OSError, InstanceError, KeyError, TypeError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"softsched: cannot read inputs: {exc!r}", file=sys.stderr)
         return 1
+    for aid in ids:
+        if type(aid) is not int:  # true and 0.0 hash and compare like 1 and 0
+            print(f"softsched: solution names activity {aid!r}, "
+                  f"not an integer id", file=sys.stderr)
+            return 1
     missing = [a.id for a in instance.activities if a.id not in assignment]
     if missing:
         print(f"softsched: solution misses activities {missing}", file=sys.stderr)

@@ -14,6 +14,12 @@ those cheapest penalties over the unassigned variables: search reads its
 base bound from it in O(1) instead of rescanning every domain.  An
 assignment swaps in a one-hot liveness list, and its one trail record keeps
 the replaced list and cheapest value, so backtracking puts both back in O(1).
+
+Soft-pair charges are the bulk of the trail.  ``disjunctive`` writes them
+inline, record for record as :meth:`PreferenceVariable.add_penalty` would,
+and :meth:`Trail.undo_to` takes each one back inline too: an undo can only
+lower a penalty or bring a slot back, so one comparison against the cached
+cheapest value keeps the cache and the base bound exact.
 """
 
 from __future__ import annotations
@@ -80,25 +86,36 @@ class Trail:
     def undo_to(self, mark: int) -> None:
         """Rewind to a previous :meth:`mark`, newest entries first."""
         entries = self._entries
+        bound = self.base_bound
         for entry in reversed(entries[mark:]):
             tag = entry[0]
             if tag == Trail._PENALTY:
                 _, var, slot, delta = entry
-                var._penalty[slot] -= delta
-                var._offer(slot, self)
+                penalty = var._penalty
+                pen = penalty[slot] - delta
+                penalty[slot] = pen
             elif tag == Trail._REMOVE:
                 _, var, slot = entry
                 var._live[slot] = True
-                var._offer(slot, self)
+                pen = var._penalty[slot]
             elif tag == Trail._ASSIGN:
                 _, var, live, min_slot, min_pen = entry
                 var._live = live
                 var._min_slot, var._min_pen = min_slot, min_pen
                 var.assignment = None
-                self.base_bound += min_pen
+                bound += min_pen
+                continue
             else:
                 _, counts, index, delta = entry
                 counts[index] -= delta
+                continue
+            # The live slot got cheaper or came back: it may be the new cheapest.
+            best_slot, best = var._min_slot, var._min_pen
+            if best_slot < 0 or pen < best or (pen == best and slot < best_slot):
+                if var.assignment is None:
+                    bound += pen - best
+                var._min_slot, var._min_pen = slot, pen
+        self.base_bound = bound
         del entries[mark:]
 
 
@@ -185,9 +202,10 @@ class PreferenceVariable:
         Only removing the cached cheapest slot can empty the domain, and
         then its rescan finds no live slot.
         """
-        if not self.contains(slot):
+        live = self._live
+        if not (0 <= slot < len(live) and live[slot]):
             raise ValueError(f"slot {slot} not in domain of variable {self.id}")
-        self._live[slot] = False
+        live[slot] = False
         trail._entries.append((Trail._REMOVE, self, slot))
         if slot == self._min_slot:
             self._rescan(trail)
@@ -247,14 +265,3 @@ class PreferenceVariable:
         if self.assignment is None:
             trail.base_bound += best - self._min_pen
         self._min_slot, self._min_pen = best_slot, best
-
-    def _offer(self, slot: int, trail: Trail) -> None:
-        """A live slot got cheaper or came back: it may be the new cheapest."""
-        pen = self._penalty[slot]
-        best_slot = self._min_slot
-        best = self._min_pen
-        if best_slot < 0 or pen < best or (pen == best and slot < best_slot):
-            if self.assignment is None:
-                trail.base_bound += pen - best
-            self._min_slot, self._min_pen = slot, pen
-

@@ -6,7 +6,12 @@ event-driven: it stays suspended on a start variable and fires exactly when
 that variable is instantiated, pushing the arc weight onto every live value
 of each not-yet-instantiated neighbor that would overlap the chosen
 interval.  A firing visits only the window of neighbor starts that can
-overlap that interval, not the neighbor's whole slot grid.  Charging
+overlap that interval, not the neighbor's whole slot grid, and charges each
+live start there in one fused loop: it bumps the penalty and appends the
+trail record itself, rescans the neighbor's cheapest value only when the
+charged start was the cheapest, and removes the start when a violation
+limit is exceeded.  That is the per-node cost of search, so the loop makes
+no per-slot method call except the rescan and the removal.  Charging
 violations only toward uninstantiated neighbors counts every violated pair
 exactly once — on the endpoint instantiated later — so the penalties
 sitting at the assigned values of a complete assignment sum to the initial
@@ -23,6 +28,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceVariable, Trail
 from .instance import Instance
+
+_PENALTY = Trail._PENALTY
 
 
 def overlaps(s1: int, d1: int, s2: int, d2: int) -> bool:
@@ -54,19 +61,34 @@ class SoftDisjunctive:
 
         A neighbor start s of duration d_other overlaps [start, start + d)
         exactly when start - d_other < s < start + d, so only that window
-        of the neighbor's slot grid is visited, in ascending order.
+        of the neighbor's slot grid is visited, in ascending order.  Each
+        live slot there is charged inline, leaving the same store state and
+        trail records as :meth:`PreferenceVariable.add_penalty` followed by
+        the limit test on :meth:`PreferenceVariable.violation_share`.
         """
         start = self.var.assignment
         end = start + self.duration
         limit = self.limit
+        entries = trail._entries
         for other, d_other, weight in self.arcs:
             if other.assignment is not None:
                 continue  # pair already charged when the neighbor fired
             live = other._live
-            for slot in range(max(start - d_other + 1, 0), min(end, len(live))):
+            lo = start - d_other + 1
+            if lo < 0:
+                lo = 0
+            hi = len(live)
+            if end < hi:
+                hi = end
+            penalty = other._penalty
+            for slot in range(lo, hi):
                 if live[slot]:
-                    other.add_penalty(slot, weight, trail)
-                    if limit is not None and other.violation_share(slot) > limit:
+                    penalty[slot] += weight
+                    entries.append((_PENALTY, other, slot, weight))
+                    if slot == other._min_slot:
+                        other._rescan(trail)
+                    if (limit is not None
+                            and penalty[slot] - other._initial[slot] > limit):
                         other.remove_value(slot, trail)
 
 

@@ -256,6 +256,41 @@ def test_report_refuses_a_start_that_is_not_an_integer(tmp_path, capsys, start,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("index, forged", [(1, True), (0, 0.0)],
+                         ids=["bool", "float"])
+def test_report_refuses_an_id_that_is_not_an_integer(tmp_path, capsys, index,
+                                                     forged):
+    # true and 0.0 compare and hash like activities 1 and 0
+    acts = tuple(Activity(i, 1, 10, ((0, 0), (1, 0), (2, 0))) for i in (0, 1))
+    inst = write_instance(tmp_path / "inst.json", Instance(3, acts, (), ()))
+    sol = tmp_path / "sol.json"
+    assert main(["solve", inst, "--out", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["assignment"][index]["id"] = forged
+    sol.write_text(json.dumps(doc))
+    assert main(["report", inst, str(sol)]) == 1
+    assert (f"solution names activity {forged!r}, not an integer id"
+            in capsys.readouterr().err)
+
+
+def test_report_refuses_a_breakdown_that_is_not_an_object(easy, tmp_path,
+                                                          capsys):
+    sol = tmp_path / "sol.json"
+    main(["solve", easy, "--out", str(sol)])
+    doc = json.loads(sol.read_text())
+    doc["breakdown"] = []
+    sol.write_text(json.dumps(doc))
+    assert main(["report", easy, str(sol)]) == 1
+    assert "cannot read inputs" in capsys.readouterr().err
+
+
+def test_report_refuses_a_solution_that_is_not_utf8(easy, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    sol.write_bytes(b'{"assignment": "\xff"}')
+    assert main(["report", easy, str(sol)]) == 1
+    assert "cannot read inputs" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_as_subprocess(tmp_path):
     gen = subprocess.run(
         [sys.executable, "-m", "softsched.cli", "generate", "--courses", "8",

@@ -149,8 +149,9 @@ def test_propagation_sum_identity(data):
 def full_scan_propagate(constraint, trail):
     """Reference propagation: test every live neighbor slot with ``overlaps``.
 
-    This is the loop the overlap window replaced; the window version must
-    make exactly the same calls in exactly the same order.
+    This is the loop the overlap window replaced, charging through the
+    single-slot entry points; the fused window loop must leave exactly the
+    same store state and trail records, in exactly the same order.
     """
     start = constraint.var.assignment
     d = constraint.duration
