@@ -258,6 +258,19 @@ def _cmd_report(args) -> int:
             print(f"softsched: resource {res.name!r} falls short of cap_min "
                   f"at slot {slot}", file=sys.stderr)
             return 1
+    # 1.0 and true compare equal to 1, so the figures' types are checked first
+    figures = [("cost", stored_cost)]
+    figures += [(key, stored[key]) for key in ("initial_cost_sum", "violation_sum")
+                if key in stored]
+    per_activity = stored.get("per_activity_u")
+    if isinstance(per_activity, list):
+        figures += [(f"per_activity_u {key}", entry[key]) for entry in per_activity
+                    if isinstance(entry, dict) for key in ("id", "u") if key in entry]
+    for name, value in figures:
+        if type(value) is not int:
+            print(f"softsched: stored {name} {value!r} is not an integer",
+                  file=sys.stderr)
+            return 1
     fresh = build_breakdown(instance, assignment)
     if fresh != stored:
         print("softsched: stored breakdown does not match the assignment:",

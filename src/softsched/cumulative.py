@@ -19,26 +19,30 @@ is only valid when ``cap_exp`` genuinely understates the occupancy of every
 feasible schedule, which is the caller's modelling obligation.
 
 This module holds the per-resource step: :func:`contribution_with_quota`
-ranks and sums the excesses for an explicit per-slot quota.  It reads each
-member through one row built per call, a runnable flag and a covering
-minimum per slot.  A unit-duration member's start grid already is its
-covering grid, so its row holds the variable's own lists and nothing is
-copied; a longer member's covering grid is built once per call.  Each slot
-with a positive quota is then one comprehension over the rows.
-:func:`slot_excess` is the same covering minimum for one slot and one
-member, kept as the per-slot definition the kernel is tested against.  The
-bound itself — quotas from the live occupancy, resources charged in turn
-over one shared minimal-weight table — is
-:func:`softsched.search.resource_bound`, the one function both search and
-``verify_bound`` use.
+ranks and sums the excesses for an explicit per-slot quota.  What it reads
+of a resource that stays fixed through a solve — each member's variable,
+duration, integer weight and tie rank, and the lcm of the durations — is a
+:class:`ResourceLayout`, built once per solve.  Per call it reads each
+unassigned member through one row of live state, a runnable flag and a
+covering minimum per slot.  A unit-duration member's start grid already is
+its covering grid, so its row holds the variable's own lists and nothing is
+copied; a longer member's covering grid is built per call.  Each slot with
+a positive quota is then one comprehension over the rows, ranking one
+integer key per runnable member.  :func:`slot_excess` is the same covering
+minimum for one slot and one member, kept as the per-slot definition the
+kernel is tested against.  The bound itself — quotas from the live
+occupancy, resources charged in turn, each charged share raising its
+member's floor for the next — is :func:`softsched.search.resource_bound`,
+the one implementation: search evaluates its layout at every node, and
+``verify_bound`` checks it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from enum import Enum
-from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import PreferenceVariable, SchedulingError, Trail
 from .instance import Instance, Resource
@@ -160,57 +164,88 @@ def _covering_grid(var: PreferenceVariable,
     return [c is not None for c in cover], cover
 
 
+class ResourceLayout:
+    """What the bound reads of one resource that stays fixed through a solve.
+
+    ``members`` holds one entry per member copy (an id repeated in
+    ``resource.members`` gets one per copy): its variable, id, duration,
+    covering-grid length, integer weight and tie rank.  ``scale`` is the lcm
+    of the member durations, and a member's ratio excess/duration is
+    ``excess * (scale // duration)`` in units of ``1 / scale``.  ``ids`` are
+    the distinct member ids ascending, and a member's rank is the index of
+    its id there, so ``ratio * len(ids) + rank`` orders members by ratio and
+    then by id, whatever the ids are; the weight is ``(scale // duration) *
+    len(ids)``.  Per call only live state is read: the liveness list,
+    penalties and cached cheapest penalty of each unassigned variable.  An
+    unassigned variable holds its own lists (an assignment swaps in a
+    one-hot list of the same length, and backtracking puts the old one
+    back), so the grid lengths recorded here stay valid.
+    """
+
+    __slots__ = ("resource", "scale", "ids", "members")
+
+    def __init__(self, resource: Resource, instance: Instance,
+                 variables: Mapping[int, PreferenceVariable]):
+        durations = [instance.activity(aid).duration for aid in resource.members]
+        ids = sorted(set(resource.members))
+        rank = {aid: i for i, aid in enumerate(ids)}
+        scale = math.lcm(*durations)
+        self.resource = resource
+        self.scale = scale
+        self.ids = ids
+        self.members = [
+            (variables[aid], aid, dur, len(variables[aid]._live) + dur - 1,
+             scale // dur * len(ids), rank[aid])
+            for aid, dur in zip(resource.members, durations)]
+
+
 def contribution_with_quota(
-    resource: Resource,
-    instance: Instance,
-    variables: Mapping[int, PreferenceVariable],
-    table: Mapping[int, int],
+    layout: ResourceLayout,
     quota: Sequence[int],
-    members: Optional[Iterable[int]] = None,
-) -> Tuple[Fraction, Dict[int, Fraction]]:
+    carry: Optional[Mapping[int, int]] = None,
+) -> Tuple[int, Dict[int, int]]:
     """Per-slot smallest-excess selection over an explicit quota.
 
-    ``quota`` gives, per window slot, how many members must execute there.
-    For every slot with positive quota the runnable members' excess/duration
-    ratios are sorted ascending (ties by activity id) and the first
-    ``quota[t]`` are summed.  Returns the exact rational total plus each
-    activity's selected share.  Raises :class:`ResourceInfeasible` when a
-    slot has fewer runnable members than its quota.
+    ``quota`` gives, per window slot, how many unassigned members must
+    execute there.  A member's floor is its cheapest live penalty plus its
+    entry in ``carry``, if any.  For every slot with positive quota the
+    runnable members' excess/duration ratios are sorted ascending (ties by
+    activity id) and the first ``quota[t]`` are summed.  Returns the total
+    plus each activity's selected share, as integers in units of
+    ``1 / layout.scale``.  Raises :class:`ResourceInfeasible` when a slot
+    has fewer runnable members than its quota.
 
-    Each member is read through one row built per call: its runnable flags
-    and covering minima (the variable's own lists for a unit member,
-    :func:`_covering_grid` for a longer one), grid length, lcm weight,
-    floor and id.  The ratios are ranked and summed as integers scaled by
-    the lcm of the member durations, which keeps them exact; only the
-    returned total and shares are built as fractions.
+    Each unassigned member is read through one row built per call: its
+    runnable flags and covering minima (the variable's own lists for a unit
+    member, :func:`_covering_grid` for a longer one), grid length, weight,
+    floor and rank.  Each slot then ranks one integer key per runnable
+    member, ``ratio * len(layout.ids) + rank``.
     """
-    if members is None:
-        members = resource.members
-    info = [(aid, variables[aid], instance.activity(aid).duration)
-            for aid in members]
-    scale = math.lcm(*(dur for _aid, _var, dur in info))
-    rows = []
-    for aid, var, dur in info:
-        if dur == 1:
-            live, cover = var._live, var._penalty
-        else:
-            live, cover = _covering_grid(var, dur)
-        rows.append((live, cover, len(live), scale // dur, table[aid], aid))
+    rows = [(var._live, var._penalty, n, weight,
+             var._min_pen + carry.get(aid, 0) if carry else var._min_pen, rank)
+            if dur == 1 else
+            (*_covering_grid(var, dur), n, weight,
+             var._min_pen + carry.get(aid, 0) if carry else var._min_pen, rank)
+            for var, aid, dur, n, weight, rank in layout.members
+            if var.assignment is None]
+    count = len(layout.ids)
+    t_min = layout.resource.t_min
     total = 0
     selected: Dict[int, int] = {}
     for offset, need in enumerate(quota):
         if need <= 0:
             continue
-        t = resource.t_min + offset
-        ratios = [((c - floor) * weight if (c := cover[t]) > floor else 0, aid)
-                  for live, cover, n, weight, floor, aid in rows
-                  if t < n and live[t]]
-        if len(ratios) < need:
-            raise ResourceInfeasible(resource.name, t, need, len(ratios))
-        ratios.sort()
-        for ratio, aid in ratios[:need]:
-            if ratio:
-                total += ratio
-                selected[aid] = selected.get(aid, 0) + ratio
-    return (Fraction(total, scale),
-            {aid: Fraction(share, scale) for aid, share in selected.items()})
+        t = t_min + offset
+        keys = [(c - floor) * weight + rank if (c := cover[t]) > floor else rank
+                for live, cover, n, weight, floor, rank in rows
+                if t < n and live[t]]
+        if len(keys) < need:
+            raise ResourceInfeasible(layout.resource.name, t, need, len(keys))
+        keys.sort()
+        # keys below ``count`` carry a zero ratio and add nothing
+        for key in keys[bisect_left(keys, count, 0, need):need]:
+            ratio, rank = divmod(key, count)
+            total += ratio
+            selected[rank] = selected.get(rank, 0) + ratio
+    ids = layout.ids
+    return total, {ids[rank]: share for rank, share in selected.items()}

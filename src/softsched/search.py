@@ -16,7 +16,9 @@ the best solution seen.
 
 Pruning combines the cost already committed (the penalties at assigned
 values), the cheapest-value sum over unassigned variables, and optionally
-the resource bound :func:`resource_bound`, recomputed at every node.  Hard
+the resource bound :func:`resource_bound`, recomputed at every node from a
+layout of each resource's static part (:func:`bound_layout`) built once per
+solve, so a node reads only live state (:func:`layout_bound`).  Hard
 capacities are counted on one :class:`softsched.cumulative.Occupancy` per
 resource: each assignment places the variable on the resources that hold
 it, an overflow fails the child, and a leaf must leave no slot under
@@ -24,10 +26,10 @@ it, an overflow fails the child, and a leaf must leave no slot under
 recomputed: every variable keeps its cheapest live value current through
 its trailed mutations, and the trail keeps the sum of those over the
 unassigned variables (``Trail.base_bound``), so the base bound costs O(1)
-per node.  :func:`resource_bound` is the only implementation of the
-resource bound: ``softsched.oracle.verify_bound`` checks the same function
-at the root, and its per-resource step comes from
-:mod:`softsched.cumulative`.
+per node.  There is one implementation of the resource bound:
+:func:`resource_bound` builds the same layout and evaluates it once,
+``softsched.oracle.verify_bound`` checks it at the root, and its
+per-resource step comes from :mod:`softsched.cumulative`.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import floor
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .core import PreferenceVariable, SchedulingError, Trail
 from .cumulative import (BoundMode, Occupancy, ResourceInfeasible,
-                         contribution_with_quota)
+                         ResourceLayout, contribution_with_quota)
 from .disjunctive import post_network, violation_profile
 from .instance import Instance
 
@@ -61,7 +63,7 @@ class SearchConfig:
     lb_mode: BoundMode = BoundMode.NONE
 
     def __post_init__(self):
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN too
             raise ValueError("time limit must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node limit must be positive")
@@ -135,6 +137,47 @@ def order_values(var: PreferenceVariable) -> List[int]:
     return [slot for _pen, slot in sorted((pen, slot) for slot, pen in var.items())]
 
 
+BoundLayout = List[Tuple[Sequence[int], ResourceLayout]]
+
+
+def bound_layout(instance: Instance,
+                 variables: Mapping[int, PreferenceVariable],
+                 mode: BoundMode) -> BoundLayout:
+    """The static part of the resource bound, built once per solve.
+
+    Per resource of ``instance`` in declaration order: the declared
+    occupancy the mode charges (``cap_min`` in MIN mode, ``cap_exp`` in EXP
+    mode) and the :class:`softsched.cumulative.ResourceLayout` of its
+    members over ``variables``.
+    """
+    return [(r.cap_min if mode is BoundMode.MIN else r.cap_exp,
+             ResourceLayout(r, instance, variables))
+            for r in instance.resources]
+
+
+def layout_bound(layout: BoundLayout,
+                 occupancy: Sequence[Sequence[int]]) -> Union[int, Fraction]:
+    """The resource bound of the live state, read through a :func:`bound_layout`.
+
+    See :func:`resource_bound`.  Each charged share, rounded down, goes into
+    a carry that raises its variable's floor for the resources after it;
+    the carry is consulted only once some resource has charged.
+    """
+    bound = 0
+    carry: Dict[int, int] = {}
+    for (declared, members), occ in zip(layout, occupancy):
+        quota = [d - o for d, o in zip(declared, occ)]
+        if max(quota, default=0) <= 0:
+            continue
+        total, selected = contribution_with_quota(members, quota, carry)
+        scale = members.scale
+        bound += Fraction(total, scale)
+        for aid, share in selected.items():
+            if share >= scale:
+                carry[aid] = carry.get(aid, 0) + share // scale
+    return bound
+
+
 def resource_bound(instance: Instance,
                    variables: Mapping[int, PreferenceVariable],
                    mode: BoundMode,
@@ -151,26 +194,14 @@ def resource_bound(instance: Instance,
     next resource does not count it again.  The result excludes that
     cheapest-penalty sum itself, and is 0 in NONE mode.  Raises
     :class:`ResourceInfeasible` when a quota cannot be covered.
+
+    This builds the :func:`bound_layout` and evaluates it once;
+    :func:`solve` builds the layout once and calls :func:`layout_bound` at
+    every node.
     """
     if mode is BoundMode.NONE:
         return 0
-    table = None  # built on the first resource with a positive quota
-    bound = 0
-    for r, occ in zip(instance.resources, occupancy):
-        declared = r.cap_min if mode is BoundMode.MIN else r.cap_exp
-        quota = [max(0, declared[i] - occ[i]) for i in range(len(declared))]
-        if not any(quota):
-            continue
-        if table is None:
-            table = {aid: var.min_penalty()[1]
-                     for aid, var in variables.items() if var.assignment is None}
-        members = [aid for aid in r.members if variables[aid].assignment is None]
-        total, selected = contribution_with_quota(
-            r, instance, variables, table, quota, members)
-        bound += total
-        for aid, share in selected.items():
-            table[aid] += floor(share)
-    return bound
+    return layout_bound(bound_layout(instance, variables, mode), occupancy)
 
 
 def solve(instance: Instance, config: SearchConfig = SearchConfig(),
@@ -204,7 +235,8 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     nodes = 0
     emitted = 0
     node_limit = config.node_limit
-    use_lb = config.lb_mode is not BoundMode.NONE
+    layout = (None if config.lb_mode is BoundMode.NONE
+              else bound_layout(instance, variables, config.lb_mode))
     occupancy = [occ.counts for occ in resources]  # updated in place
 
     # One choice point per open node: (variable, untried slots with the next
@@ -217,10 +249,9 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
         # choice point.
         rewind = True
         bound = trail.base_bound
-        if use_lb:
+        if layout is not None:
             try:
-                bound += resource_bound(instance, variables, config.lb_mode,
-                                        occupancy)
+                bound += layout_bound(layout, occupancy)
             except ResourceInfeasible:
                 bound = None  # no completion covers the quotas
         if bound is not None and (best is None or cost + bound < best.cost):

@@ -97,6 +97,11 @@ def test_solve_usage_and_input_errors(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+def test_solve_refuses_a_nan_time_limit(easy, capsys):
+    assert main(["solve", easy, "--time-limit", "nan"]) == 1
+    assert "time limit must be positive" in capsys.readouterr().err
+
+
 def test_solve_rejects_a_huge_start_slot(tmp_path, capsys):
     # one start near 10**9 would need a grid of about 24 GB in memory
     doc = {"format": 1, "horizon": 10 ** 9,
@@ -270,6 +275,31 @@ def test_report_refuses_an_id_that_is_not_an_integer(tmp_path, capsys, index,
     sol.write_text(json.dumps(doc))
     assert main(["report", inst, str(sol)]) == 1
     assert (f"solution names activity {forged!r}, not an integer id"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("kind", [float, bool], ids=["float", "bool"])
+@pytest.mark.parametrize("field", ["cost", "initial_cost_sum", "violation_sum",
+                                   "id", "u"])
+def test_report_refuses_a_figure_that_is_not_an_integer(tmp_path, capsys, field,
+                                                        kind):
+    # one forced collision: cost 1 = initial 0 + violations 1, and the first
+    # per-activity entry is activity 1; 1.0 and true compare equal to 1
+    inst = write_instance(tmp_path / "inst.json", clique(4, 3, weight=1))
+    sol = tmp_path / "sol.json"
+    assert main(["solve", inst, "--out", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    assert (doc["cost"], doc["breakdown"]["violation_sum"]) == (1, 1)
+    if field == "cost":
+        owner, name = doc, "cost"
+    elif field in ("id", "u"):
+        owner, name = doc["breakdown"]["per_activity_u"][0], f"per_activity_u {field}"
+    else:
+        owner, name = doc["breakdown"], field
+    owner[field] = forged = kind(owner[field])
+    sol.write_text(json.dumps(doc))
+    assert main(["report", inst, str(sol)]) == 1
+    assert (f"stored {name} {forged!r} is not an integer"
             in capsys.readouterr().err)
 
 

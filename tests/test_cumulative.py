@@ -1,17 +1,21 @@
 """Occupancy counting and the resource lower bound."""
 
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from softsched import Activity, BoundMode, Instance, Resource, verify_bound
-from softsched.core import PreferenceVariable, Trail
+from softsched import (Activity, BoundMode, Instance, Resource, SoftPair,
+                       verify_bound)
+from softsched.core import PreferenceVariable, SchedulingError, Trail
 from softsched.cumulative import (
-    CapacityOverflow, Occupancy, ResourceInfeasible, contribution_with_quota,
-    slot_excess,
+    CapacityOverflow, Occupancy, ResourceInfeasible, ResourceLayout,
+    contribution_with_quota, slot_excess,
 )
-from softsched.search import resource_bound
+from softsched.disjunctive import post_network
+from softsched.search import bound_layout, layout_bound, resource_bound
 
 
 def make_instance(horizon, acts, resources):
@@ -95,6 +99,18 @@ def test_slot_excess_window_clamp_and_not_runnable():
     assert slot_excess(0, far, 1, 0) is None
 
 
+def quota_step(res, inst, variables, table, quota):
+    """``contribution_with_quota`` with each member's floor at ``table[aid]``,
+    converted to fractions."""
+    layout = ResourceLayout(res, inst, variables)
+    carry = {aid: floor - variables[aid].min_penalty()[1]
+             for aid, floor in table.items()}
+    total, selected = contribution_with_quota(layout, quota, carry)
+    assert type(total) is int and all(type(s) is int for s in selected.values())
+    return (Fraction(total, layout.scale),
+            {aid: Fraction(share, layout.scale) for aid, share in selected.items()})
+
+
 def quota_fixture():
     acts = [Activity(1, 1, 5, ((0, 0), (1, 0))), Activity(2, 1, 5, ((0, 4), (1, 0)))]
     res = Resource("room", (1, 2), 0, 1, (0, 0), (2, 2), (0, 0))
@@ -106,9 +122,9 @@ def quota_fixture():
 
 def test_quota_picks_cheapest_shares():
     inst, res, variables, table = quota_fixture()
-    total, selected = contribution_with_quota(res, inst, variables, table, [1, 0])
+    total, selected = quota_step(res, inst, variables, table, [1, 0])
     assert total == 0 and selected == {}
-    total, selected = contribution_with_quota(res, inst, variables, table, [2, 0])
+    total, selected = quota_step(res, inst, variables, table, [2, 0])
     assert total == 4
     assert selected == {2: Fraction(4)}
 
@@ -116,7 +132,7 @@ def test_quota_picks_cheapest_shares():
 def test_quota_beyond_runnable_is_infeasible():
     inst, res, variables, table = quota_fixture()
     with pytest.raises(ResourceInfeasible) as exc:
-        contribution_with_quota(res, inst, variables, table, [3, 0])
+        quota_step(res, inst, variables, table, [3, 0])
     assert exc.value.slot == 0
     assert exc.value.needed == 3
     assert exc.value.runnable == 2
@@ -124,15 +140,16 @@ def test_quota_beyond_runnable_is_infeasible():
 
 
 def test_share_is_excess_over_duration():
-    act = Activity(1, 2, 5, ((0, 6),))
+    # start 3 costs nothing but covers neither window slot
+    act = Activity(1, 2, 5, ((0, 6), (3, 0)))
     res = Resource("room", (1,), 0, 1, (1, 1), (1, 1), (1, 1))
-    inst = make_instance(2, [act], [res])
-    variables = {1: PreferenceVariable(1, [(0, 6)])}
-    total, selected = contribution_with_quota(res, inst, variables, {1: 0}, [1, 1])
+    inst = make_instance(5, [act], [res])
+    variables = variables_of(inst)
+    total, selected = quota_step(res, inst, variables, {1: 0}, [1, 1])
     # excess 6 spread over duration 2, charged at both covered slots
     assert total == 6
     assert selected == {1: Fraction(6)}
-    half, sel_half = contribution_with_quota(res, inst, variables, {1: 0}, [1, 0])
+    half, sel_half = quota_step(res, inst, variables, {1: 0}, [1, 0])
     assert half == 3
     assert sel_half == {1: Fraction(3)}
 
@@ -214,8 +231,9 @@ def test_resource_bound_charges_only_what_assigned_members_leave():
         resource_bound(inst, variables, BoundMode.MIN, [[0]])
 
 
-def fraction_contribution(resource, instance, variables, table, quota):
-    """Reference ranking in exact fractions, ties by activity id."""
+def fraction_contribution(resource, instance, variables, table, quota, tie=1):
+    """Reference ranking of the unassigned members in exact fractions, ties
+    by activity id (descending with ``tie=-1``)."""
     total = Fraction(0)
     selected = {}
     for offset, need in enumerate(quota):
@@ -224,14 +242,16 @@ def fraction_contribution(resource, instance, variables, table, quota):
         t = resource.t_min + offset
         ratios = []
         for aid in resource.members:
+            if variables[aid].assignment is not None:
+                continue
             dur = instance.activity(aid).duration
             excess = slot_excess(t, variables[aid], dur, table[aid])
             if excess is not None:
-                ratios.append((Fraction(excess, dur), aid))
+                ratios.append((Fraction(excess, dur), tie * aid, aid))
         if len(ratios) < need:
             raise ResourceInfeasible(resource.name, t, need, len(ratios))
         ratios.sort()
-        for ratio, aid in ratios[:need]:
+        for ratio, _tie, aid in ratios[:need]:
             if ratio:
                 total += ratio
                 selected[aid] = selected.get(aid, Fraction(0)) + ratio
@@ -262,15 +282,12 @@ def test_quota_on_mixed_durations_matches_the_fraction_reference():
             want = fraction_contribution(res, inst, variables, table, quota)
         except ResourceInfeasible as exc:
             with pytest.raises(ResourceInfeasible) as got:
-                contribution_with_quota(res, inst, variables, table, quota)
+                quota_step(res, inst, variables, table, quota)
             assert (got.value.slot, got.value.needed, got.value.runnable) == (
                 exc.slot, exc.needed, exc.runnable)
             infeasible += 1
             continue
-        total, selected = contribution_with_quota(res, inst, variables, table, quota)
-        assert (total, selected) == want
-        assert isinstance(total, Fraction)
-        assert all(isinstance(share, Fraction) for share in selected.values())
+        assert quota_step(res, inst, variables, table, quota) == want
         checked += 1
     assert checked >= 80 and infeasible >= 80
 
@@ -278,10 +295,10 @@ def test_quota_on_mixed_durations_matches_the_fraction_reference():
 def test_quota_on_mutated_search_state_matches_the_fraction_reference():
     rng = random.Random(11)
     checked = infeasible = past_grid = early = 0
-    for _case in range(300):
+    for _case in range(400):
         acts = []
         for aid in range(1, rng.randint(2, 7)):
-            dur = rng.choice([1, 1, 2, 3, 4])
+            dur = rng.choice([1, 1, 1, 2, 3, 4])
             starts = rng.sample(range(8), rng.randint(2, 6))
             acts.append(Activity(aid, dur, 5,
                                  tuple(sorted((s, rng.randint(0, 12)) for s in starts))))
@@ -317,13 +334,133 @@ def test_quota_on_mutated_search_state_matches_the_fraction_reference():
             want = fraction_contribution(res, inst, variables, table, quota)
         except ResourceInfeasible as exc:
             with pytest.raises(ResourceInfeasible) as got:
-                contribution_with_quota(res, inst, variables, table, quota)
+                quota_step(res, inst, variables, table, quota)
             assert (got.value.resource, got.value.slot, got.value.needed,
                     got.value.runnable) == (exc.resource, exc.slot, exc.needed,
                                             exc.runnable)
             infeasible += 1
             continue
-        assert contribution_with_quota(res, inst, variables, table, quota) == want
+        assert quota_step(res, inst, variables, table, quota) == want
         checked += 1
     assert checked >= 80 and infeasible >= 150
     assert past_grid >= 150 and early >= 150
+
+
+def reference_bound(instance, variables, mode, occupancy, carry=True, tie=1):
+    """The resource bound ranked in fractions over one shared floored table.
+
+    ``carry=False`` gives every resource a fresh table and ``tie=-1`` breaks
+    equal ratios by descending id: both are wrong, and the test below uses
+    them only to show that its cases tell them apart.
+    """
+    fresh = {aid: var.min_penalty()[1]
+             for aid, var in variables.items() if var.assignment is None}
+    table = dict(fresh)
+    bound = Fraction(0)
+    for r, occ in zip(instance.resources, occupancy):
+        declared = r.cap_min if mode is BoundMode.MIN else r.cap_exp
+        quota = [max(0, d - o) for d, o in zip(declared, occ)]
+        if not any(quota):
+            continue
+        if not carry:
+            table = dict(fresh)
+        total, selected = fraction_contribution(r, instance, variables, table,
+                                                quota, tie)
+        bound += total
+        for aid, share in selected.items():
+            table[aid] += math.floor(share)
+    return bound
+
+
+def bound_or_refusal(compute):
+    try:
+        return compute()
+    except ResourceInfeasible as exc:
+        return (exc.resource, exc.slot, exc.needed, exc.runnable)
+
+
+def interior_instance(rng):
+    """Sparse ids, some negative; durations 1-4; penalties whose ratios to
+    the durations often tie; two or three overlapping resources, one of them
+    naming a member twice; a few soft pairs that raise penalties."""
+    horizon = 7
+    ids = rng.sample(range(-12, 30, 3), rng.randint(5, 8))
+    acts = []
+    for aid in ids:
+        dur = rng.choice([1, 1, 1, 2, 3, 4])
+        starts = rng.sample(range(horizon - dur + 1), rng.randint(2, horizon - dur + 1))
+        acts.append(Activity(aid, dur, 5, tuple(sorted(
+            (s, rng.choice([0, 0, 3, 3, 6])) for s in starts))))
+    resources = []
+    for k in range(rng.randint(2, 3)):
+        members = rng.sample(ids, rng.randint(len(ids) - 2, len(ids)))
+        if k == 0:
+            members.append(members[0])
+        t_min = rng.randint(0, 2)
+        t_max = rng.randint(t_min, horizon - 1)
+        width = t_max - t_min + 1
+        cap_min = tuple(rng.randint(0, 3) for _ in range(width))
+        cap_exp = tuple(c + rng.randint(0, 2) for c in cap_min)
+        resources.append(Resource(f"r{k}", tuple(members), t_min, t_max, cap_min,
+                                  flat(len(members), width), cap_exp))
+    pairs = tuple(SoftPair(*sorted(rng.sample(ids, 2)), rng.randint(1, 3))
+                  for _ in range(rng.randint(0, 3)))
+    pairs = tuple({(p.a, p.b): p for p in pairs}.values())
+    return Instance(horizon, tuple(acts), pairs, tuple(resources))
+
+
+def test_resource_bound_matches_the_fraction_reference_at_interior_nodes():
+    """Seeded walks assign, fail and backtrack through one trail, as search
+    does.  At every node ``resource_bound``, and the layout built once before
+    the walk, give the reference's bound or its ``ResourceInfeasible``."""
+    rng = random.Random(14)
+    nodes = refused = carried = tied = repeated = 0
+    for _case in range(150):
+        inst = interior_instance(rng)
+        first = inst.resources[0]
+        once = replace(inst, resources=(
+            replace(first, members=first.members[:-1]),) + inst.resources[1:])
+        variables = variables_of(inst)
+        trail = Trail()
+        trail.base_bound = sum(v.min_penalty()[1] for v in variables.values())
+        post_network(inst, variables)
+        occupancy = [Occupancy(r) for r in inst.resources]
+        durations = {a.id: a.duration for a in inst.activities}
+        for mode in (BoundMode.MIN, BoundMode.EXP):
+            layout = bound_layout(inst, variables, mode)
+            marks = []
+            for _step in range(12):
+                free = [v for v in variables.values() if v.assignment is None]
+                if marks and (not free or rng.random() < 0.3):
+                    trail.undo_to(marks.pop())
+                    continue
+                var = rng.choice(free)
+                marks.append(trail.mark())
+                try:
+                    var.assign(rng.choice([s for s, _pen in var.items()]), trail)
+                    for occ in occupancy:
+                        for aid in occ.resource.members:
+                            if aid == var.id:
+                                occ.place(var.assignment, durations[aid], trail)
+                except SchedulingError:
+                    trail.undo_to(marks.pop())
+                    continue
+                counts = [occ.counts for occ in occupancy]
+                want = bound_or_refusal(
+                    lambda: reference_bound(inst, variables, mode, counts))
+                assert bound_or_refusal(
+                    lambda: resource_bound(inst, variables, mode, counts)) == want
+                assert bound_or_refusal(lambda: layout_bound(layout, counts)) == want
+                nodes += 1
+                if isinstance(want, tuple):
+                    refused += 1
+                    continue
+                carried += want != reference_bound(inst, variables, mode, counts,
+                                                   carry=False)
+                tied += want != reference_bound(inst, variables, mode, counts, tie=-1)
+                repeated += want != bound_or_refusal(
+                    lambda: reference_bound(once, variables, mode, counts))
+            trail.undo_to(0)
+    seen = (nodes, refused, carried, tied, repeated)
+    assert nodes >= 2000 and refused >= 500, seen
+    assert carried >= 100 and tied >= 20 and repeated >= 50, seen

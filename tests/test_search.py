@@ -119,6 +119,12 @@ def test_config_validation():
         SearchConfig(violation_limit=-1)
 
 
+def test_config_refuses_a_nan_time_limit():
+    # NaN is not <= 0, and a deadline of NaN never fires
+    with pytest.raises(ValueError, match="time limit must be positive"):
+        SearchConfig(time_limit=float("nan"))
+
+
 def unit(n, horizon, pairs, costs=None, resources=()):
     acts = []
     for i in range(1, n + 1):
