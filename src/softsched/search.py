@@ -11,8 +11,8 @@ the next one scans that ranking for the first group with an unassigned
 variable instead of sorting at every node.  Every complete assignment that
 beats the incumbent is emitted to a progress sink immediately, so the
 search can be stopped at any moment — by time limit, node limit, or a
-cancellation callback checked at node boundaries — and still hand back
-the best solution seen.
+cancellation callback, checked before each child that is assigned and once
+per group of cut siblings — and still hand back the best solution seen.
 
 Pruning combines the cost already committed (the penalties at assigned
 values), the cheapest-value sum over unassigned variables, and optionally
@@ -26,7 +26,19 @@ it, an overflow fails the child, and a leaf must leave no slot under
 recomputed: every variable keeps its cheapest live value current through
 its trailed mutations, and the trail keeps the sum of those over the
 unassigned variables (``Trail.base_bound``), so the base bound costs O(1)
-per node.  There is one implementation of the resource bound:
+per node.
+
+A child that cannot beat the incumbent is cut before it is assigned.  When
+a choice point opens, its floor is the node cost plus the cheapest-value
+sum over the other unassigned variables; assigning a child and propagating
+it can only raise those, or fail the child, and the resource bound is never
+negative.  So once the floor plus a child's penalty reaches the incumbent's
+cost, that child would be pruned at its visit, and so would every later
+sibling, since values come cheapest first.  The whole group goes into the
+node count at once (up to the node limit) and is dropped without touching
+the trail, so node counts and incumbents stay those of visiting each child.
+
+There is one implementation of the resource bound:
 :func:`resource_bound` builds the same layout and evaluates it once,
 ``softsched.oracle.verify_bound`` checks it at the root, and its
 per-resource step comes from :mod:`softsched.cumulative`.
@@ -132,9 +144,9 @@ def select_variable(ranking: Ranking) -> Optional[PreferenceVariable]:
     return None
 
 
-def order_values(var: PreferenceVariable) -> List[int]:
-    """Live slots, cheapest penalty first, ties by earlier slot."""
-    return [slot for _pen, slot in sorted((pen, slot) for slot, pen in var.items())]
+def order_values(var: PreferenceVariable) -> List[Tuple[int, int]]:
+    """Live ``(penalty, slot)`` pairs, cheapest first, ties by earlier slot."""
+    return sorted((pen, slot) for slot, pen in var.items())
 
 
 BoundLayout = List[Tuple[Sequence[int], ResourceLayout]]
@@ -212,7 +224,9 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     Emits each improving incumbent to ``sink`` as it is found; the emitted
     costs are strictly decreasing.  With identical instance and config the
     node sequence and incumbents are reproducible exactly; only the elapsed
-    times vary.
+    times vary.  Children that cannot beat the incumbent are cut unassigned
+    (see the module docstring) but still counted, so ``nodes`` and each
+    incumbent's ``nodes`` are those of visiting every child.
     """
     started = time.monotonic()
     deadline = None if config.time_limit is None else started + config.time_limit
@@ -239,8 +253,9 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
               else bound_layout(instance, variables, config.lb_mode))
     occupancy = [occ.counts for occ in resources]  # updated in place
 
-    # One choice point per open node: (variable, untried slots with the next
-    # one last, node cost, trail mark its children rewind to).
+    # One choice point per open node: (variable, untried (penalty, slot)
+    # pairs with the next one last, node cost, trail mark its children
+    # rewind to, floor that a child's penalty adds to for the cut).
     stack: List[tuple] = []
     cost = 0
     exhausted = True
@@ -257,9 +272,10 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
         if bound is not None and (best is None or cost + bound < best.cost):
             var = select_variable(ranking)
             if var is not None:
-                slots = order_values(var)
-                slots.reverse()
-                stack.append((var, slots, cost, trail.mark()))
+                values = order_values(var)
+                floor = cost + trail.base_bound - values[0][0]
+                values.reverse()
+                stack.append((var, values, cost, trail.mark(), floor))
                 rewind = False
             elif all(occ.deficit_slot() is None for occ in resources):
                 assignment = {aid: v.assignment for aid, v in variables.items()}
@@ -274,11 +290,12 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
 
         # Step to the next child of the deepest open choice point.  While
         # ``rewind`` is set, a child of the top one has just finished.
+        # The trail is at the top one's mark when its next child is tested.
         while stack:
-            var, slots, node_cost, mark = stack[-1]
+            var, values, node_cost, mark, floor = stack[-1]
             if rewind:
                 trail.undo_to(mark)
-            if not slots:
+            if not values:
                 stack.pop()
                 rewind = True
                 continue
@@ -287,7 +304,21 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
                     or cancel is not None and cancel()):
                 exhausted = False
                 break
-            slot = slots.pop()
+            pen, slot = values[-1]
+            if best is not None and floor + pen >= best.cost:
+                # Assigning the child fails it or only raises the other
+                # variables' cheapest penalties, so its visit would prune
+                # it; the later siblings cost no less.  Count them all.
+                cut = len(values)
+                if node_limit is not None and cut > node_limit - nodes:
+                    nodes = node_limit
+                    exhausted = False
+                    break
+                nodes += cut
+                stack.pop()
+                rewind = True
+                continue
+            values.pop()
             nodes += 1
             try:
                 var.assign(slot, trail)
@@ -296,7 +327,7 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
             except SchedulingError:
                 rewind = True
                 continue
-            cost = node_cost + var.penalty(slot)
+            cost = node_cost + pen
             break
         if not stack or not exhausted:
             break

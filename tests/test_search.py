@@ -107,7 +107,7 @@ def test_select_variable_matches_the_reference_key():
 
 def test_order_values_cheapest_first():
     v = PreferenceVariable(0, [(7, 5), (8, 0), (10, 0)])
-    assert order_values(v) == [8, 10, 7]
+    assert order_values(v) == [(0, 8), (0, 10), (5, 7)]
 
 
 def test_config_validation():
@@ -173,10 +173,46 @@ def test_node_limit_statuses():
     assert solve(inst, SearchConfig(node_limit=1)).status is Status.UNKNOWN
     partial = solve(inst, SearchConfig(node_limit=5))
     assert partial.status is Status.FEASIBLE
-    assert partial.nodes <= 5
+    assert partial.nodes == 5
     full = solve(inst)
     assert full.status is Status.OPTIMAL
     assert full.best.cost == brute_force(inst)
+
+
+def test_node_limits_inside_cut_sibling_groups():
+    """A node limit that lands inside a group of siblings cut against the
+    incumbent stops at exactly that many nodes, with the same incumbents
+    the unlimited search had found by then."""
+    inst = generate(30, 6, 0.7, 0)
+    seen = []
+    full = solve(inst, sink=seen.append)
+    for limit in range(1, full.nodes, 13):
+        got = []
+        out = solve(inst, SearchConfig(node_limit=limit), sink=got.append)
+        assert out.nodes == limit
+        want = [inc for inc in seen if inc.nodes <= limit]
+        assert out.status is (Status.FEASIBLE if want else Status.UNKNOWN)
+        assert [(inc.cost, inc.nodes, inc.assignment) for inc in got] == [
+            (inc.cost, inc.nodes, inc.assignment) for inc in want]
+
+
+def test_children_that_cannot_beat_the_incumbent_are_never_assigned(monkeypatch):
+    """Cut children count as nodes but are never assigned; visiting each
+    one would assign it once per node."""
+    calls = [0]
+    assign = PreferenceVariable.assign
+
+    def counted(var, slot, trail):
+        calls[0] += 1
+        assign(var, slot, trail)
+
+    monkeypatch.setattr(PreferenceVariable, "assign", counted)
+    ladder = solve(generate(30, 6, 0.7, 0))
+    assert (ladder.status, ladder.nodes, calls[0]) == (Status.OPTIMAL, 5817, 1245)
+    calls[0] = 0
+    campus = solve(generate(258, 35, 0.74, 6), SearchConfig(node_limit=20000))
+    assert (campus.status, campus.nodes, campus.best.cost, calls[0]) == (
+        Status.FEASIBLE, 20000, 17, 3111)
 
 
 def test_deep_search_leaves_the_recursion_limit_alone():
