@@ -16,10 +16,13 @@ assignment swaps in a one-hot liveness list, and its one trail record keeps
 the replaced list and cheapest value, so backtracking puts both back in O(1).
 
 Soft-pair charges are the bulk of the trail.  ``disjunctive`` writes them
-inline, record for record as :meth:`PreferenceVariable.add_penalty` would,
-and :meth:`Trail.undo_to` takes each one back inline too: an undo can only
-lower a penalty or bring a slot back, so one comparison against the cached
-cheapest value keeps the cache and the base bound exact.
+inline: a charge that keeps a slot within the violation limit leaves the
+record :meth:`PreferenceVariable.add_penalty` would, and one that would push
+it over leaves only the removal record :meth:`PreferenceVariable.remove_value`
+would, since a dead slot's penalty is never read.  :meth:`Trail.undo_to`
+takes each record back inline too: an undo can only lower a penalty or bring
+a slot back, so one comparison against the cached cheapest value keeps the
+cache and the base bound exact.
 """
 
 from __future__ import annotations
@@ -87,18 +90,21 @@ class Trail:
         """Rewind to a previous :meth:`mark`, newest entries first."""
         entries = self._entries
         bound = self.base_bound
+        # Bound once per call, not looked up once per entry.
+        penalty_tag, remove_tag, assign_tag = (
+            Trail._PENALTY, Trail._REMOVE, Trail._ASSIGN)
         for entry in reversed(entries[mark:]):
             tag = entry[0]
-            if tag == Trail._PENALTY:
+            if tag == penalty_tag:
                 _, var, slot, delta = entry
                 penalty = var._penalty
                 pen = penalty[slot] - delta
                 penalty[slot] = pen
-            elif tag == Trail._REMOVE:
+            elif tag == remove_tag:
                 _, var, slot = entry
                 var._live[slot] = True
                 pen = var._penalty[slot]
-            elif tag == Trail._ASSIGN:
+            elif tag == assign_tag:
                 _, var, live, min_slot, min_pen = entry
                 var._live = live
                 var._min_slot, var._min_pen = min_slot, min_pen
@@ -126,7 +132,7 @@ class PreferenceVariable:
     parallel penalty array, giving ordered iteration and O(1) membership.
     The initial costs passed at construction are kept frozen alongside the
     current penalties, so the share added by constraint propagation is
-    always recoverable (:meth:`violation_share`).
+    always recoverable: a live slot's penalty minus its initial cost.
 
     The cheapest live ``(slot, penalty)`` is cached.  A removal or a penalty
     increment rescans the domain only when it hits the cached slot; an undo
@@ -163,9 +169,6 @@ class PreferenceVariable:
 
     # -- queries ---------------------------------------------------------
 
-    def __len__(self) -> int:
-        return sum(self._live)
-
     def __repr__(self) -> str:
         dom = ", ".join(f"{s}:{p}" for s, p in self.items())
         return f"PreferenceVariable({self.id}, {{{dom}}}, assigned={self.assignment})"
@@ -178,15 +181,6 @@ class PreferenceVariable:
         for slot, alive in enumerate(self._live):
             if alive:
                 yield slot, self._penalty[slot]
-
-    def penalty(self, slot: int) -> int:
-        if not self.contains(slot):
-            raise KeyError(f"slot {slot} not in domain of variable {self.id}")
-        return self._penalty[slot]
-
-    def violation_share(self, slot: int) -> int:
-        """Propagated weight accumulated on a slot, excluding its initial cost."""
-        return self._penalty[slot] - self._initial[slot]
 
     def min_penalty(self) -> Tuple[int, int]:
         """(slot, penalty) with the smallest penalty; ties go to the smallest slot."""

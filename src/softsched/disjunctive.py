@@ -6,16 +6,17 @@ event-driven: it stays suspended on a start variable and fires exactly when
 that variable is instantiated, pushing the arc weight onto every live value
 of each not-yet-instantiated neighbor that would overlap the chosen
 interval.  A firing visits only the window of neighbor starts that can
-overlap that interval, not the neighbor's whole slot grid, and charges each
-live start there in one fused loop: it bumps the penalty and appends the
-trail record itself, rescans the neighbor's cheapest value only when the
-charged start was the cheapest, and removes the start when a violation
-limit is exceeded.  That is the per-node cost of search, so the loop makes
-no per-slot method call except the rescan and the removal.  Charging
-violations only toward uninstantiated neighbors counts every violated pair
-exactly once — on the endpoint instantiated later — so the penalties
-sitting at the assigned values of a complete assignment sum to the initial
-costs plus the total weighted violation, regardless of instantiation order.
+overlap that interval, not the neighbor's whole slot grid, and handles each
+live start there in one fused loop: a start the charge would push past a
+violation limit is removed, any other is charged.  Either way the loop
+writes the store and the one trail record itself, and rescans the
+neighbor's cheapest value only when the touched start was the cheapest.
+That is the per-node cost of search, so the loop makes no per-slot method
+call except the rescan.  Charging violations only toward uninstantiated
+neighbors counts every violated pair exactly once — on the endpoint
+instantiated later — so the penalties sitting at the assigned values of a
+complete assignment sum to the initial costs plus the total weighted
+violation, regardless of instantiation order.
 
 The evaluators at the bottom are pure functions over (instance, complete
 assignment) and back both solver bookkeeping and reporting.
@@ -26,10 +27,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .core import PreferenceVariable, Trail
+from .core import DomainWipeout, PreferenceVariable, Trail
 from .instance import Instance
 
 _PENALTY = Trail._PENALTY
+_REMOVE = Trail._REMOVE
 
 
 def overlaps(s1: int, d1: int, s2: int, d2: int) -> bool:
@@ -41,9 +43,10 @@ class SoftDisjunctive:
     """Weighted non-overlap preference suspended on one start variable.
 
     ``arcs`` holds (neighbor variable, neighbor duration, weight) triples.
-    With a violation limit set, any neighbor value whose accumulated
-    violation share (initial cost excluded) exceeds the limit is removed
-    immediately after the increment that pushed it over.
+    With a violation limit set, a neighbor value whose accumulated violation
+    share (initial cost excluded) would exceed the limit once charged is
+    removed instead of charged, so it never carries the increment that
+    would have pushed it over.
     """
 
     __slots__ = ("var", "duration", "arcs", "limit")
@@ -61,10 +64,18 @@ class SoftDisjunctive:
 
         A neighbor start s of duration d_other overlaps [start, start + d)
         exactly when start - d_other < s < start + d, so only that window
-        of the neighbor's slot grid is visited, in ascending order.  Each
-        live slot there is charged inline, leaving the same store state and
-        trail records as :meth:`PreferenceVariable.add_penalty` followed by
-        the limit test on :meth:`PreferenceVariable.violation_share`.
+        of the neighbor's slot grid is visited, in ascending order.  A live
+        slot there whose violation share (penalty minus initial cost) plus
+        the weight exceeds the limit leaves the store state and trail record
+        of :meth:`PreferenceVariable.remove_value`, wipeout included; any
+        other leaves those of :meth:`PreferenceVariable.add_penalty`.
+
+        Removing without charging is exact: nothing reads a dead slot's
+        penalty (the rescan, ``items`` and the resource bound skip dead
+        slots), and the undo revives the slot with its penalty from before
+        this firing.  The live state after every step and every undo is what
+        charging and then removing would leave, with one record per removed
+        slot instead of two.
         """
         start = self.var.assignment
         end = start + self.duration
@@ -81,15 +92,22 @@ class SoftDisjunctive:
             if end < hi:
                 hi = end
             penalty = other._penalty
+            initial = other._initial
             for slot in range(lo, hi):
                 if live[slot]:
-                    penalty[slot] += weight
-                    entries.append((_PENALTY, other, slot, weight))
-                    if slot == other._min_slot:
-                        other._rescan(trail)
                     if (limit is not None
-                            and penalty[slot] - other._initial[slot] > limit):
-                        other.remove_value(slot, trail)
+                            and penalty[slot] + weight - initial[slot] > limit):
+                        live[slot] = False
+                        entries.append((_REMOVE, other, slot))
+                        if slot == other._min_slot:
+                            other._rescan(trail)
+                            if other._min_slot < 0:
+                                raise DomainWipeout(other.id)
+                    else:
+                        penalty[slot] += weight
+                        entries.append((_PENALTY, other, slot, weight))
+                        if slot == other._min_slot:
+                            other._rescan(trail)
 
 
 def post_soft_disjunctive(

@@ -146,7 +146,8 @@ def select_variable(ranking: Ranking) -> Optional[PreferenceVariable]:
 
 def order_values(var: PreferenceVariable) -> List[Tuple[int, int]]:
     """Live ``(penalty, slot)`` pairs, cheapest first, ties by earlier slot."""
-    return sorted((pen, slot) for slot, pen in var.items())
+    live, penalty = var._live, var._penalty
+    return sorted([(penalty[slot], slot) for slot in range(len(live)) if live[slot]])
 
 
 BoundLayout = List[Tuple[Sequence[int], ResourceLayout]]

@@ -16,8 +16,29 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from softsched import Activity, Instance, Resource, SoftPair
+from softsched.core import PreferenceVariable
 
 CORPUS_SIZE = 520
+
+
+# -- store readings the solver itself never needs ----------------------------
+
+
+def penalty(var: PreferenceVariable, slot: int) -> int:
+    """Current penalty of a live slot; a dead slot raises KeyError."""
+    if not var.contains(slot):
+        raise KeyError(f"slot {slot} not in domain of variable {var.id}")
+    return var._penalty[slot]
+
+
+def violation_share(var: PreferenceVariable, slot: int) -> int:
+    """Propagated weight accumulated on a slot, excluding its initial cost."""
+    return var._penalty[slot] - var._initial[slot]
+
+
+def domain_size(var: PreferenceVariable) -> int:
+    """Number of live slots."""
+    return sum(var._live)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from conftest import exhaustive_profile
+from conftest import exhaustive_profile, penalty
 from softsched import (
     Activity, BoundMode, Instance, Objective, Resource, SearchConfig, SoftPair,
     Status, enumerate_optimum, generate, parse_instance, solve,
@@ -40,7 +40,7 @@ def replay_cost(instance, assignment, order):
     trail = Trail()
     for aid in order:
         variables[aid].assign(assignment[aid], trail)
-    return sum(variables[aid].penalty(assignment[aid]) for aid in order)
+    return sum(penalty(variables[aid], assignment[aid]) for aid in order)
 
 
 def test_c1_solver_matches_exhaustive_oracle(corpus):
@@ -131,7 +131,7 @@ def test_c3_resource_bound_holds_at_interior_nodes(corpus):
             committed = 0
             for aid, (slot, _cost) in fixed.items():
                 variables[aid].assign(slot, trail)
-                committed += variables[aid].penalty(slot)
+                committed += penalty(variables[aid], slot)
             occupancy = []
             for r in inst.resources:
                 occ = [0] * (r.t_max - r.t_min + 1)

@@ -6,23 +6,24 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from conftest import domain_size, penalty, violation_share
 from softsched.core import DomainWipeout, PreferenceVariable, Trail
 from softsched.disjunctive import post_soft_disjunctive
 
 
 def snapshot(var):
-    return (dict(var.items()), var.assignment, len(var))
+    return (dict(var.items()), var.assignment, domain_size(var))
 
 
 def test_construction_and_queries():
     v = PreferenceVariable(9, [(3, 2), (0, 0), (7, 1)])
     assert v.id == 9
-    assert len(v) == 3
+    assert domain_size(v) == 3
     assert [slot for slot, _pen in v.items()] == [0, 3, 7]
     assert list(v.items()) == [(0, 0), (3, 2), (7, 1)]
     assert v.contains(3) and not v.contains(4)
     assert not v.contains(-1) and not v.contains(99)
-    assert v.penalty(7) == 1
+    assert penalty(v, 7) == 1
     assert v.assignment is None
 
 
@@ -41,8 +42,9 @@ def test_penalty_of_dead_slot_raises():
     v = PreferenceVariable(0, [(0, 0), (1, 0)])
     trail = Trail()
     v.remove_value(1, trail)
+    assert not v.contains(1) and list(v.items()) == [(0, 0)]
     with pytest.raises(KeyError):
-        v.penalty(1)
+        penalty(v, 1)
 
 
 def test_min_penalty_tie_prefers_smaller_slot():
@@ -59,10 +61,10 @@ def test_add_penalty_accumulates_and_tracks_share():
     trail = Trail()
     v.add_penalty(0, 3, trail)
     v.add_penalty(0, 4, trail)
-    assert v.penalty(0) == 9
-    assert v.penalty(0) - v.violation_share(0) == 2
-    assert v.violation_share(0) == 7
-    assert v.violation_share(1) == 0
+    assert penalty(v, 0) == 9
+    assert penalty(v, 0) - violation_share(v, 0) == 2
+    assert violation_share(v, 0) == 7
+    assert violation_share(v, 1) == 0
 
 
 def test_add_penalty_edge_cases():
@@ -77,7 +79,7 @@ def test_add_penalty_edge_cases():
     before = len(trail)
     v.add_penalty(1, 5, trail)
     assert len(trail) == before
-    assert v.violation_share(1) == 0
+    assert violation_share(v, 1) == 0
 
 
 def test_remove_to_wipeout():
@@ -127,7 +129,7 @@ def test_undo_restores_assignment_and_penalties():
     mark = trail.mark()
     v.add_penalty(2, 6, trail)
     v.assign(2, trail)
-    assert v.assignment == 2 and len(v) == 1
+    assert v.assignment == 2 and domain_size(v) == 1
     trail.undo_to(mark)
     assert snapshot(v) == ({0: 1, 1: 0, 2: 3}, None, 3)
 
@@ -212,12 +214,12 @@ def scratch_min(var):
 
 def scratch_sum(variables):
     """Cheapest penalties summed over unassigned, non-empty variables."""
-    return sum(scratch_min(v)[1] for v in variables if v.assignment is None and len(v))
+    return sum(scratch_min(v)[1] for v in variables if v.assignment is None and domain_size(v))
 
 
 def check_incremental_state(variables, trail):
     for v in variables:
-        if len(v):
+        if domain_size(v):
             assert v.min_penalty() == scratch_min(v)
         else:
             with pytest.raises(ValueError):
@@ -260,14 +262,14 @@ def run_random_steps(rng, variables, steps):
         mark = trail.mark()
         try:
             if kind == "assign":
-                free = [v for v in variables if v.assignment is None and len(v)]
+                free = [v for v in variables if v.assignment is None and domain_size(v)]
                 if free:
                     var = rng.choice(free)
                     marks.append(mark)
                     var.assign(rng.choice([slot for slot, _pen in var.items()]), trail)
             elif kind == "penalty":
                 var.add_penalty(rng.randrange(8), rng.randint(0, 3), trail)
-            elif kind == "remove" and len(var):
+            elif kind == "remove" and domain_size(var):
                 marks.append(mark)
                 var.remove_value(rng.choice([slot for slot, _pen in var.items()]), trail)
             elif kind == "undo" and marks:
@@ -280,11 +282,11 @@ def run_random_steps(rng, variables, steps):
                 assert [snapshot(v) for v in variables] == start
         except DomainWipeout as exc:
             wipeouts += 1
-            assert [v.id for v in variables if not len(v)] == [exc.var_id]
+            assert [v.id for v in variables if not domain_size(v)] == [exc.var_id]
             check_incremental_state(variables, trail)
             trail.undo_to(mark)  # as search does after a wipeout
         else:
-            assert all(len(v) for v in variables)
+            assert all(domain_size(v) for v in variables)
         check_incremental_state(variables, trail)
     trail.undo_to(0)
     check_incremental_state(variables, trail)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import domain_size
 from softsched import (Activity, BoundMode, Instance, Resource, SoftPair,
                        verify_bound)
 from softsched.core import PreferenceVariable, SchedulingError, Trail
@@ -319,7 +320,7 @@ def test_quota_on_mutated_search_state_matches_the_fraction_reference():
                 continue
             slot = rng.choice([s for s, _pen in var.items()])
             kind = rng.random()
-            if kind < 0.4 and len(var) > 1:
+            if kind < 0.4 and domain_size(var) > 1:
                 var.remove_value(slot, trail)
             elif kind < 0.8:
                 var.add_penalty(slot, rng.randint(1, 6), trail)

@@ -9,6 +9,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from conftest import penalty, violation_share
 from softsched import Activity, Instance, SoftPair
 from softsched.core import DomainWipeout, PreferenceVariable, Trail
 from softsched.disjunctive import (
@@ -42,7 +43,7 @@ def test_propagation_charges_overlapping_values():
     vi.assign(2, trail)
     # interval [2, 4) clashes with the neighbor's starts 2 and 3 only
     assert dict(vj.items()) == {0: 0, 1: 0, 2: 5, 3: 5, 4: 0}
-    assert vj.violation_share(2) == 5
+    assert violation_share(vj, 2) == 5
 
 
 def test_threshold_removes_overcharged_values():
@@ -63,8 +64,8 @@ def test_assigned_neighbor_is_not_recharged():
     trail = Trail()
     vi.assign(0, trail)
     vj.assign(0, trail)
-    assert vi.penalty(0) == 0
-    assert vj.penalty(0) == 3
+    assert penalty(vi, 0) == 0
+    assert penalty(vj, 0) == 3
 
 
 def test_posting_rejects_bad_arcs():
@@ -141,7 +142,7 @@ def test_propagation_sum_identity(data):
         variables[aid].assign(slot, trail)
         assignment[aid] = slot
 
-    total = sum(variables[aid].penalty(assignment[aid]) for aid in assignment)
+    total = sum(penalty(variables[aid], assignment[aid]) for aid in assignment)
     initial = sum(inst.by_id[aid].domain[picks[aid - 1]][1] for aid in assignment)
     assert total == initial + sum(violation_profile(inst, assignment).values()) // 2
 
@@ -149,9 +150,10 @@ def test_propagation_sum_identity(data):
 def full_scan_propagate(constraint, trail):
     """Reference propagation: test every live neighbor slot with ``overlaps``.
 
-    This is the loop the overlap window replaced, charging through the
-    single-slot entry points; the fused window loop must leave exactly the
-    same store state and trail records, in exactly the same order.
+    This is the loop the overlap window replaced, working through the
+    single-slot entry points: a slot the charge would push past the limit is
+    removed, any other is charged.  The fused window loop must leave exactly
+    the same store state and trail records, in exactly the same order.
     """
     start = constraint.var.assignment
     d = constraint.duration
@@ -161,14 +163,32 @@ def full_scan_propagate(constraint, trail):
             continue
         for slot, _pen in list(other.items()):
             if overlaps(start, d, slot, d_other):
+                if limit is not None and violation_share(other, slot) + weight > limit:
+                    other.remove_value(slot, trail)
+                else:
+                    other.add_penalty(slot, weight, trail)
+
+
+def charge_then_remove_propagate(constraint, trail):
+    """The earlier rule: charge every overlapping live slot, then remove the
+    ones the charge pushed past the limit.  It leaves other raw penalties
+    and twice the trail records, but the same visible state."""
+    start = constraint.var.assignment
+    d = constraint.duration
+    limit = constraint.limit
+    for other, d_other, weight in constraint.arcs:
+        if other.assignment is not None:
+            continue
+        for slot, _pen in list(other.items()):
+            if overlaps(start, d, slot, d_other):
                 other.add_penalty(slot, weight, trail)
-                if limit is not None and other.violation_share(slot) > limit:
+                if limit is not None and violation_share(other, slot) > limit:
                     other.remove_value(slot, trail)
 
 
-def mirrored_networks(rng, limit):
+def mirrored_networks(rng, limit, reference):
     """Two copies of one random network with durations 1-3: the first posts
-    the library's propagation, the second the full-scan reference."""
+    the library's propagation, the second ``reference``."""
     size = rng.randint(2, 6)
     durations = [rng.randint(1, 3) for _ in range(size)]
     domains = [[(s, rng.randint(0, 3))
@@ -177,15 +197,15 @@ def mirrored_networks(rng, limit):
     weights = {(a, b): rng.randint(1, 3)
                for a in range(size) for b in range(a + 1, size) if rng.random() < 0.8}
     copies = []
-    for reference in (False, True):
+    for is_reference in (False, True):
         variables = [PreferenceVariable(vid, domains[vid]) for vid in range(size)]
         for var in variables:
             arcs = [(o, durations[o.id], weights[min(var.id, o.id), max(var.id, o.id)])
                     for o in variables
                     if (min(var.id, o.id), max(var.id, o.id)) in weights]
-            if reference:
+            if is_reference:
                 constraint = SoftDisjunctive(var, durations[var.id], arcs, limit)
-                var.watchers.append(partial(full_scan_propagate, constraint))
+                var.watchers.append(partial(reference, constraint))
             else:
                 post_soft_disjunctive(var, durations[var.id], arcs, limit)
         trail = Trail()
@@ -205,49 +225,96 @@ def store_state(variables, trail):
             trail.base_bound, [named(entry) for entry in trail._entries])
 
 
-def test_window_propagation_matches_the_full_scan():
-    """Random assignments, with and without a violation limit, leave both
-    copies in the same state after every step, wipeouts included."""
+def visible_state(variables, trail):
+    """What search can read: live slots with their penalties, cached minima,
+    assignments and the base bound."""
+    return ([(list(v.items()), v._min_slot, v._min_pen, v.assignment)
+             for v in variables], trail.base_bound)
+
+
+def mirrored_walks(reference, state):
+    """Random assignments and undos on mirrored networks, with limits None,
+    0, 1 and 2; ``state`` of both copies must agree after every step, and
+    both must wipe out the same variable.  Returns (wipeouts, records
+    written by propagation in the library's copy)."""
     wipeouts = charged = 0
     for seed in range(80):
         for limit in (None, 0, 1, 2):
             rng = random.Random(seed)
-            copies = mirrored_networks(rng, limit)
+            copies = mirrored_networks(rng, limit, reference)
             marks = []
             for _step in range(12):
                 variables = copies[0][0]
                 free = [v.id for v in variables if v.assignment is None]
                 if marks and (not free or rng.random() < 0.25):
                     k = rng.randrange(len(marks))
-                    mark = marks[k]
+                    undo = marks[k]
                     del marks[k:]
-                    for _vars, trail in copies:
+                    for (_vars, trail), mark in zip(copies, undo):
                         trail.undo_to(mark)
-                    assert store_state(*copies[0]) == store_state(*copies[1])
+                    assert state(*copies[0]) == state(*copies[1])
                     continue
                 if not free:
                     break
                 vid = rng.choice(free)
                 slot = rng.choice([slot for slot, _pen in variables[vid].items()])
-                outcomes = []
+                outcomes, step_marks = [], []   # the copies' trails may differ in length
                 for vars_, trail in copies:
-                    mark = trail.mark()
+                    step_marks.append(trail.mark())
                     try:
                         vars_[vid].assign(slot, trail)
                         outcomes.append(None)
                     except DomainWipeout as wiped:
                         outcomes.append(wiped.var_id)
                 assert outcomes[0] == outcomes[1]
-                assert store_state(*copies[0]) == store_state(*copies[1])
-                charged += len(copies[0][1]) - mark - 1
+                assert state(*copies[0]) == state(*copies[1])
+                charged += len(copies[0][1]) - step_marks[0] - 1
                 if outcomes[0] is not None:
                     wipeouts += 1
-                    for _vars, trail in copies:
+                    for (_vars, trail), mark in zip(copies, step_marks):
                         trail.undo_to(mark)  # as search does after a wipeout
-                    assert store_state(*copies[0]) == store_state(*copies[1])
+                    assert state(*copies[0]) == state(*copies[1])
                 else:
-                    marks.append(mark)
+                    marks.append(step_marks)
             for _vars, trail in copies:
                 trail.undo_to(0)
-            assert store_state(*copies[0]) == store_state(*copies[1])
+            assert state(*copies[0]) == state(*copies[1])
+    return wipeouts, charged
+
+
+def test_window_propagation_matches_the_full_scan():
+    """Random assignments, with and without a violation limit, leave both
+    copies in the same raw state, trail records included, after every
+    step, wipeouts included."""
+    wipeouts, charged = mirrored_walks(full_scan_propagate, store_state)
     assert wipeouts > 0 and charged > 0
+
+
+def test_removal_without_charge_matches_charge_then_remove():
+    """Removing a slot instead of charging it past the limit leaves what
+    search can see exactly as charging and then removing it did: live
+    penalties, cached minima, base bound and the wiped-out variable."""
+    wipeouts, charged = mirrored_walks(charge_then_remove_propagate, visible_state)
+    assert wipeouts > 0 and charged > 0
+
+
+def test_over_limit_starts_get_one_removal_record_each():
+    """Under limit 0 each live overlapping start of the neighbor costs one
+    removal record and no penalty record; without a limit, one penalty
+    record each."""
+    for limit, tag in ((0, Trail._REMOVE), (None, Trail._PENALTY)):
+        vi = PreferenceVariable(1, [(2, 0)])
+        vj = PreferenceVariable(2, [(t, 1) for t in range(7)])
+        trail = Trail()
+        vj.remove_value(3, trail)
+        post_soft_disjunctive(vi, 3, [(vj, 2, 1)], limit=limit)
+        mark = trail.mark()
+        vi.assign(2, trail)
+        # interval [2, 5) meets the neighbor's starts 1 to 4; 3 is dead
+        records = [entry[0] for entry in trail._entries[mark + 1:]]
+        assert records == [tag] * 3
+        assert [entry[2] for entry in trail._entries[mark + 1:]] == [1, 2, 4]
+        if limit == 0:
+            assert dict(vj.items()) == {0: 1, 5: 1, 6: 1}
+        else:
+            assert dict(vj.items()) == {0: 1, 1: 2, 2: 2, 4: 2, 5: 1, 6: 1}

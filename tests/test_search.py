@@ -357,3 +357,8 @@ def test_pinned_search_traces(corpus):
     exp = SearchConfig(lb_mode=BoundMode.EXP)
     assert incumbent_trace(solve(mixed, exp, sink=seen.append), seen) == (
         Status.OPTIMAL, 81, [[15, 7], [12, 21], [10, 45], [7, 61]])
+    # Weights 1 to 5 under a cap of 1: propagation both charges and removes.
+    seen = []
+    capped = SearchConfig(violation_limit=1)
+    assert incumbent_trace(solve(mixed, capped, sink=seen.append), seen) == (
+        Status.OPTIMAL, 56, [[12, 17], [8, 24]])
