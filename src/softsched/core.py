@@ -1,9 +1,10 @@
 """Domain store: preference variables over discrete time slots plus an undo trail.
 
 Time is a dense integer grid of slots (0, 1, 2, ...); one slot is one
-teaching period.  A preference variable holds a finite set of candidate
-slots, and every live slot carries a natural-number penalty.  Penalty 0
-means the slot is fully preferred; larger penalties mean the slot is
+teaching period.  A preference variable holds one penalty entry per slot
+of its grid.  A live slot carries a natural-number penalty; a slot outside
+the domain, never offered or removed since, carries None.  Penalty 0 means
+the slot is fully preferred; larger penalties mean the slot is
 discouraged, either by an initial cost supplied at construction or by
 weights pushed onto it during propagation.
 
@@ -12,17 +13,19 @@ exact prior state on backtrack.  Each variable keeps its cheapest live value
 up to date through those mutations, and the trail keeps the running sum of
 those cheapest penalties over the unassigned variables: search reads its
 base bound from it in O(1) instead of rescanning every domain.  An
-assignment swaps in a one-hot liveness list, and its one trail record keeps
-the replaced list and cheapest value, so backtracking puts both back in O(1).
+assignment swaps in a one-hot penalty list, None but at the chosen slot, and
+its one trail record keeps the replaced list and cheapest value, so
+backtracking puts both back in O(1).
 
-Soft-pair charges are the bulk of the trail.  ``disjunctive`` writes them
-inline: a charge that keeps a slot within the violation limit leaves the
-record :meth:`PreferenceVariable.add_penalty` would, and one that would push
-it over leaves only the removal record :meth:`PreferenceVariable.remove_value`
-would, since a dead slot's penalty is never read.  :meth:`Trail.undo_to`
-takes each record back inline too: an undo can only lower a penalty or bring
-a slot back, so one comparison against the cached cheapest value keeps the
-cache and the base bound exact.
+A removal and a penalty increment are the same change to the store: one
+slot's entry is overwritten, with None or with a larger penalty, and the
+trail record keeps the entry it replaced.  Soft-pair charges are the bulk of
+the trail, and ``disjunctive`` writes them inline, leaving the records
+:meth:`PreferenceVariable.add_penalty` and
+:meth:`PreferenceVariable.remove_value` would.  :meth:`Trail.undo_to` writes
+each replaced entry back inline too: an undo can only lower a penalty or
+bring a slot back, so one comparison against the cached cheapest value keeps
+the cache and the base bound exact.
 """
 
 from __future__ import annotations
@@ -45,11 +48,11 @@ class DomainWipeout(SchedulingError):
 class Trail:
     """Reversible log of store mutations.
 
-    Keeps four kinds of record, undone newest first:
+    Keeps three kinds of record, undone newest first:
 
-    - a removal: one slot that left a variable's domain;
-    - a penalty increment: one slot's penalty and the amount added to it;
-    - an assignment: the variable, the liveness list the assignment
+    - a slot: one slot of a variable and the penalty entry it held before
+      it was raised or removed (set to None);
+    - an assignment: the variable, the penalty list the assignment
       replaced, and the cheapest ``(slot, penalty)`` it had before;
     - an occupancy bump: one counter of a resource and its increment.
 
@@ -67,10 +70,9 @@ class Trail:
 
     __slots__ = ("_entries", "base_bound")
 
-    _REMOVE = 0
-    _PENALTY = 1
-    _ASSIGN = 2
-    _OCCUPANCY = 3
+    _SLOT = 0
+    _ASSIGN = 1
+    _OCCUPANCY = 2
 
     def __init__(self):
         self._entries: List[tuple] = []
@@ -91,22 +93,15 @@ class Trail:
         entries = self._entries
         bound = self.base_bound
         # Bound once per call, not looked up once per entry.
-        penalty_tag, remove_tag, assign_tag = (
-            Trail._PENALTY, Trail._REMOVE, Trail._ASSIGN)
+        slot_tag, assign_tag = Trail._SLOT, Trail._ASSIGN
         for entry in reversed(entries[mark:]):
             tag = entry[0]
-            if tag == penalty_tag:
-                _, var, slot, delta = entry
-                penalty = var._penalty
-                pen = penalty[slot] - delta
-                penalty[slot] = pen
-            elif tag == remove_tag:
-                _, var, slot = entry
-                var._live[slot] = True
-                pen = var._penalty[slot]
+            if tag == slot_tag:
+                _, var, slot, pen = entry
+                var._penalty[slot] = pen
             elif tag == assign_tag:
-                _, var, live, min_slot, min_pen = entry
-                var._live = live
+                _, var, penalty, min_slot, min_pen = entry
+                var._penalty = penalty
                 var._min_slot, var._min_pen = min_slot, min_pen
                 var.assignment = None
                 bound += min_pen
@@ -128,8 +123,8 @@ class Trail:
 class PreferenceVariable:
     """Finite-domain start-time variable whose values carry penalties.
 
-    The domain is stored as a liveness bitmap over the slot grid with a
-    parallel penalty array, giving ordered iteration and O(1) membership.
+    The domain is stored as one penalty list over the slot grid, None at
+    every slot outside it, giving ordered iteration and O(1) membership.
     The initial costs passed at construction are kept frozen alongside the
     current penalties, so the share added by constraint propagation is
     always recoverable: a live slot's penalty minus its initial cost.
@@ -140,28 +135,25 @@ class PreferenceVariable:
     with one comparison.  An empty domain caches ``(-1, 0)``.
     """
 
-    __slots__ = ("id", "assignment", "watchers", "_live", "_penalty", "_initial",
+    __slots__ = ("id", "assignment", "watchers", "_penalty", "_initial",
                  "_min_slot", "_min_pen")
 
     def __init__(self, var_id: int, pairs: List[Tuple[int, int]]):
         if not pairs:
             raise ValueError(f"variable {var_id}: domain must not be empty")
         grid = max(slot for slot, _ in pairs) + 1
-        live = [False] * grid
-        penalty = [0] * grid
+        penalty: List[Optional[int]] = [None] * grid
         for slot, cost in pairs:
             if slot < 0:
                 raise ValueError(f"variable {var_id}: negative slot {slot}")
             if cost < 0:
                 raise ValueError(f"variable {var_id}: negative penalty for slot {slot}")
-            if live[slot]:
+            if penalty[slot] is not None:
                 raise ValueError(f"variable {var_id}: duplicate slot {slot}")
-            live[slot] = True
             penalty[slot] = cost
         self.id = var_id
         self.assignment: Optional[int] = None
         self.watchers: List[Callable[[Trail], None]] = []
-        self._live = live
         self._penalty = penalty
         self._initial = list(penalty)
         cost, slot = min((cost, slot) for slot, cost in pairs)
@@ -174,13 +166,14 @@ class PreferenceVariable:
         return f"PreferenceVariable({self.id}, {{{dom}}}, assigned={self.assignment})"
 
     def contains(self, slot: int) -> bool:
-        return 0 <= slot < len(self._live) and self._live[slot]
+        penalty = self._penalty
+        return 0 <= slot < len(penalty) and penalty[slot] is not None
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """(slot, penalty) pairs for live slots, ascending."""
-        for slot, alive in enumerate(self._live):
-            if alive:
-                yield slot, self._penalty[slot]
+        for slot, pen in enumerate(self._penalty):
+            if pen is not None:
+                yield slot, pen
 
     def min_penalty(self) -> Tuple[int, int]:
         """(slot, penalty) with the smallest penalty; ties go to the smallest slot."""
@@ -196,11 +189,10 @@ class PreferenceVariable:
         Only removing the cached cheapest slot can empty the domain, and
         then its rescan finds no live slot.
         """
-        live = self._live
-        if not (0 <= slot < len(live) and live[slot]):
+        if not self.contains(slot):
             raise ValueError(f"slot {slot} not in domain of variable {self.id}")
-        live[slot] = False
-        trail._entries.append((Trail._REMOVE, self, slot))
+        trail._entries.append((Trail._SLOT, self, slot, self._penalty[slot]))
+        self._penalty[slot] = None
         if slot == self._min_slot:
             self._rescan(trail)
             if self._min_slot < 0:
@@ -215,34 +207,35 @@ class PreferenceVariable:
         """
         if delta < 0:
             raise ValueError("penalty delta must be >= 0")
-        live = self._live
-        if delta == 0 or not (0 <= slot < len(live) and live[slot]):
+        if delta == 0 or not self.contains(slot):
             return
-        self._penalty[slot] += delta
-        trail._entries.append((Trail._PENALTY, self, slot, delta))
+        pen = self._penalty[slot]
+        trail._entries.append((Trail._SLOT, self, slot, pen))
+        self._penalty[slot] = pen + delta
         if slot == self._min_slot:
             self._rescan(trail)
 
     def assign(self, slot: int, trail: Trail) -> None:
         """Bind the variable to one slot and notify suspended constraints.
 
-        A one-hot liveness list replaces the domain's, and one trail record
-        keeps the replaced list with the cheapest value it held.  Then every
-        watcher runs in registration order before control returns.  Watchers
-        may raise :class:`DomainWipeout`; the trail still covers everything
-        done so far.
+        A one-hot penalty list, None but at ``slot``, replaces the domain's,
+        and one trail record keeps the replaced list with the cheapest value
+        it held.  Then every watcher runs in registration order before
+        control returns.  Watchers may raise :class:`DomainWipeout`; the
+        trail still covers everything done so far.
         """
         if self.assignment is not None:
             raise ValueError(f"variable {self.id} is already assigned")
         if not self.contains(slot):
             raise ValueError(f"slot {slot} not in domain of variable {self.id}")
-        live = [False] * len(self._live)
-        live[slot] = True
+        penalty = self._penalty
+        one_hot: List[Optional[int]] = [None] * len(penalty)
+        one_hot[slot] = pen = penalty[slot]
         trail._entries.append(
-            (Trail._ASSIGN, self, self._live, self._min_slot, self._min_pen))
-        self._live = live
+            (Trail._ASSIGN, self, penalty, self._min_slot, self._min_pen))
+        self._penalty = one_hot
         trail.base_bound -= self._min_pen  # leaves the unassigned sum
-        self._min_slot, self._min_pen = slot, self._penalty[slot]
+        self._min_slot, self._min_pen = slot, pen
         self.assignment = slot
         for watcher in self.watchers:
             watcher(trail)
@@ -252,10 +245,9 @@ class PreferenceVariable:
     def _rescan(self, trail: Trail) -> None:
         """Recompute the cheapest live value after the cached one got dearer or died."""
         best_slot, best = -1, 0
-        penalty = self._penalty
-        for slot, alive in enumerate(self._live):
-            if alive and (best_slot < 0 or penalty[slot] < best):
-                best_slot, best = slot, penalty[slot]
+        for slot, pen in enumerate(self._penalty):
+            if pen is not None and (best_slot < 0 or pen < best):
+                best_slot, best = slot, pen
         if self.assignment is None:
             trail.base_bound += best - self._min_pen
         self._min_slot, self._min_pen = best_slot, best

@@ -23,12 +23,13 @@ ranks and sums the excesses for an explicit per-slot quota.  What it reads
 of a resource that stays fixed through a solve — each member's variable,
 duration, integer weight and tie rank, and the lcm of the durations — is a
 :class:`ResourceLayout`, built once per solve.  Per call it reads each
-unassigned member through one row of live state, a runnable flag and a
-covering minimum per slot.  A unit-duration member's start grid already is
-its covering grid, so its row holds the variable's own lists and nothing is
-copied; a longer member's covering grid is built per call.  Each slot with
-a positive quota is then one comprehension over the rows, ranking one
-integer key per runnable member.  :func:`slot_excess` is the same covering
+unassigned member through one row of live state, a covering grid holding
+per slot the cheapest live start that covers it, or None where none does.
+A unit-duration member's penalty list already is its covering grid, so its
+row holds the variable's own list and nothing is copied; a longer member's
+covering grid is built per call.  Each slot with a positive quota is then
+one comprehension over the rows, ranking one integer key per member that
+can run there.  :func:`slot_excess` is the same covering
 minimum for one slot and one member, kept as the per-slot definition the
 kernel is tested against.  The bound itself — quotas from the live
 occupancy, resources charged in turn, each charged share raising its
@@ -131,37 +132,33 @@ def slot_excess(t: int, var: PreferenceVariable, duration: int,
     begins.  Returns None when no such start is live, otherwise
     max(0, cheapest covering penalty - floor).
     """
-    live = var._live
     penalty = var._penalty
     best = None
-    for s in range(max(t - duration + 1, 0), min(t + 1, len(live))):
-        if live[s]:
-            p = penalty[s]
-            if best is None or p < best:
-                best = p
+    for s in range(max(t - duration + 1, 0), min(t + 1, len(penalty))):
+        p = penalty[s]
+        if p is not None and (best is None or p < best):
+            best = p
     if best is None:
         return None
     return best - floor if best > floor else 0
 
 
-def _covering_grid(var: PreferenceVariable,
-                   duration: int) -> Tuple[List[bool], List[Optional[int]]]:
-    """Per slot t, whether some live start covers t, and the cheapest one.
+def _covering_grid(var: PreferenceVariable, duration: int) -> List[Optional[int]]:
+    """Per slot t, the cheapest live start covering t, or None if none does.
 
     A start s covers the slots s .. s+duration-1, so the grid runs
     ``duration - 1`` slots past the variable's own; its entry at t is what
-    :func:`slot_excess` finds for t with a floor of 0, or None.
+    :func:`slot_excess` finds for t with a floor of 0.
     """
     penalty = var._penalty
-    cover: List[Optional[int]] = [None] * (len(var._live) + duration - 1)
-    for s, alive in enumerate(var._live):
-        if alive:
-            p = penalty[s]
+    cover: List[Optional[int]] = [None] * (len(penalty) + duration - 1)
+    for s, p in enumerate(penalty):
+        if p is not None:
             for t in range(s, s + duration):
                 c = cover[t]
                 if c is None or p < c:
                     cover[t] = p
-    return [c is not None for c in cover], cover
+    return cover
 
 
 class ResourceLayout:
@@ -175,11 +172,11 @@ class ResourceLayout:
     the distinct member ids ascending, and a member's rank is the index of
     its id there, so ``ratio * len(ids) + rank`` orders members by ratio and
     then by id, whatever the ids are; the weight is ``(scale // duration) *
-    len(ids)``.  Per call only live state is read: the liveness list,
-    penalties and cached cheapest penalty of each unassigned variable.  An
-    unassigned variable holds its own lists (an assignment swaps in a
-    one-hot list of the same length, and backtracking puts the old one
-    back), so the grid lengths recorded here stay valid.
+    len(ids)``.  Per call only live state is read: the penalty list and
+    cached cheapest penalty of each unassigned variable.  An unassigned
+    variable holds its own list (an assignment swaps in a one-hot list of
+    the same length, and backtracking puts the old one back), so the grid
+    lengths recorded here stay valid.
     """
 
     __slots__ = ("resource", "scale", "ids", "members")
@@ -194,7 +191,7 @@ class ResourceLayout:
         self.scale = scale
         self.ids = ids
         self.members = [
-            (variables[aid], aid, dur, len(variables[aid]._live) + dur - 1,
+            (variables[aid], aid, dur, len(variables[aid]._penalty) + dur - 1,
              scale // dur * len(ids), rank[aid])
             for aid, dur in zip(resource.members, durations)]
 
@@ -209,22 +206,19 @@ def contribution_with_quota(
     ``quota`` gives, per window slot, how many unassigned members must
     execute there.  A member's floor is its cheapest live penalty plus its
     entry in ``carry``, if any.  For every slot with positive quota the
-    runnable members' excess/duration ratios are sorted ascending (ties by
-    activity id) and the first ``quota[t]`` are summed.  Returns the total
+    excess/duration ratios of the members that can run there are sorted
+    ascending (ties by activity id) and the first ``quota[t]`` are summed.  Returns the total
     plus each activity's selected share, as integers in units of
     ``1 / layout.scale``.  Raises :class:`ResourceInfeasible` when a slot
-    has fewer runnable members than its quota.
+    has fewer members that can run there than its quota.
 
     Each unassigned member is read through one row built per call: its
-    runnable flags and covering minima (the variable's own lists for a unit
-    member, :func:`_covering_grid` for a longer one), grid length, weight,
-    floor and rank.  Each slot then ranks one integer key per runnable
-    member, ``ratio * len(layout.ids) + rank``.
+    covering grid (the variable's own penalty list for a unit member,
+    :func:`_covering_grid` for a longer one), grid length, weight, floor and
+    rank.  Each slot then ranks one integer key per member whose grid entry
+    there is not None, ``ratio * len(layout.ids) + rank``.
     """
-    rows = [(var._live, var._penalty, n, weight,
-             var._min_pen + carry.get(aid, 0) if carry else var._min_pen, rank)
-            if dur == 1 else
-            (*_covering_grid(var, dur), n, weight,
+    rows = [(var._penalty if dur == 1 else _covering_grid(var, dur), n, weight,
              var._min_pen + carry.get(aid, 0) if carry else var._min_pen, rank)
             for var, aid, dur, n, weight, rank in layout.members
             if var.assignment is None]
@@ -236,9 +230,9 @@ def contribution_with_quota(
         if need <= 0:
             continue
         t = t_min + offset
-        keys = [(c - floor) * weight + rank if (c := cover[t]) > floor else rank
-                for live, cover, n, weight, floor, rank in rows
-                if t < n and live[t]]
+        keys = [(c - floor) * weight + rank if c > floor else rank
+                for cover, n, weight, floor, rank in rows
+                if t < n and (c := cover[t]) is not None]
         if len(keys) < need:
             raise ResourceInfeasible(layout.resource.name, t, need, len(keys))
         keys.sort()

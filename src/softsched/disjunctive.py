@@ -8,9 +8,11 @@ of each not-yet-instantiated neighbor that would overlap the chosen
 interval.  A firing visits only the window of neighbor starts that can
 overlap that interval, not the neighbor's whole slot grid, and handles each
 live start there in one fused loop: a start the charge would push past a
-violation limit is removed, any other is charged.  Either way the loop
-writes the store and the one trail record itself, and rescans the
-neighbor's cheapest value only when the touched start was the cheapest.
+violation limit is removed (its penalty entry becomes None), any other is
+charged.  Either way the loop itself writes the one trail record, which
+keeps the penalty the start held, and then the start's new entry, and
+rescans the neighbor's cheapest value only when the touched start was the
+cheapest.
 That is the per-node cost of search, so the loop makes no per-slot method
 call except the rescan.  Charging violations only toward uninstantiated
 neighbors counts every violated pair exactly once — on the endpoint
@@ -30,8 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .core import DomainWipeout, PreferenceVariable, Trail
 from .instance import Instance
 
-_PENALTY = Trail._PENALTY
-_REMOVE = Trail._REMOVE
+_SLOT = Trail._SLOT
 
 
 def overlaps(s1: int, d1: int, s2: int, d2: int) -> bool:
@@ -64,18 +65,18 @@ class SoftDisjunctive:
 
         A neighbor start s of duration d_other overlaps [start, start + d)
         exactly when start - d_other < s < start + d, so only that window
-        of the neighbor's slot grid is visited, in ascending order.  A live
-        slot there whose violation share (penalty minus initial cost) plus
-        the weight exceeds the limit leaves the store state and trail record
-        of :meth:`PreferenceVariable.remove_value`, wipeout included; any
-        other leaves those of :meth:`PreferenceVariable.add_penalty`.
+        of the neighbor's slot grid is visited, in ascending order.  Each
+        live slot there gets one trail record keeping its penalty.  A slot
+        whose violation share (penalty minus initial cost) plus the weight
+        exceeds the limit is then removed, leaving the store state of
+        :meth:`PreferenceVariable.remove_value`, wipeout included; any other
+        is charged, leaving that of :meth:`PreferenceVariable.add_penalty`.
 
-        Removing without charging is exact: nothing reads a dead slot's
-        penalty (the rescan, ``items`` and the resource bound skip dead
-        slots), and the undo revives the slot with its penalty from before
-        this firing.  The live state after every step and every undo is what
-        charging and then removing would leave, with one record per removed
-        slot instead of two.
+        Removing without charging is exact: a removed slot keeps no penalty,
+        and the undo revives it with its penalty from before this firing.
+        The live state after every step and every undo is what charging and
+        then removing would leave, with one record per removed slot instead
+        of two.
         """
         start = self.var.assignment
         end = start + self.duration
@@ -84,30 +85,27 @@ class SoftDisjunctive:
         for other, d_other, weight in self.arcs:
             if other.assignment is not None:
                 continue  # pair already charged when the neighbor fired
-            live = other._live
+            penalty = other._penalty
             lo = start - d_other + 1
             if lo < 0:
                 lo = 0
-            hi = len(live)
+            hi = len(penalty)
             if end < hi:
                 hi = end
-            penalty = other._penalty
             initial = other._initial
             for slot in range(lo, hi):
-                if live[slot]:
-                    if (limit is not None
-                            and penalty[slot] + weight - initial[slot] > limit):
-                        live[slot] = False
-                        entries.append((_REMOVE, other, slot))
-                        if slot == other._min_slot:
-                            other._rescan(trail)
-                            if other._min_slot < 0:
-                                raise DomainWipeout(other.id)
+                pen = penalty[slot]
+                if pen is not None:
+                    entries.append((_SLOT, other, slot, pen))
+                    pen += weight
+                    if limit is not None and pen - initial[slot] > limit:
+                        penalty[slot] = None
                     else:
-                        penalty[slot] += weight
-                        entries.append((_PENALTY, other, slot, weight))
-                        if slot == other._min_slot:
-                            other._rescan(trail)
+                        penalty[slot] = pen
+                    if slot == other._min_slot:
+                        other._rescan(trail)
+                        if other._min_slot < 0:
+                            raise DomainWipeout(other.id)
 
 
 def post_soft_disjunctive(

@@ -18,9 +18,11 @@ from typing import Dict, List, Tuple, Union
 FORMAT_VERSION = 1
 
 #: Largest total slot grid an instance may need: the sum over activities of
-#: (latest start + 1).  Each variable stores three lists as long as its grid,
-#: and an assigned one also the liveness list its trail record keeps (about
-#: 32 bytes per slot in all), so this caps that storage near 64 MB.
+#: (latest start + 1).  Each variable stores two lists as long as its grid,
+#: its penalties and initial costs, and an assigned one also the one-hot
+#: penalty list it holds while its trail record keeps the replaced one: about
+#: 24 bytes per slot in all (tracemalloc, 64-bit CPython 3.11), so this caps
+#: that storage near 48 MB.
 MAX_GRID_SLOTS = 2_000_000
 
 # Error codes carried by InstanceError.
@@ -178,7 +180,8 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
 
     root = _want_object(root, "$")
     _check_fields(root, _TOP_FIELDS, _TOP_FIELDS, "$")
-    if root["format"] != FORMAT_VERSION:
+    # true == 1 and 1.0 == 1 in Python, so the type is checked first
+    if type(root["format"]) is not int or root["format"] != FORMAT_VERSION:
         raise InstanceError(BAD_FORMAT, "$.format", f"unsupported format {root['format']!r}")
     horizon = _want_int(root["horizon"], "$.horizon", minimum=1)
 

@@ -146,8 +146,8 @@ def select_variable(ranking: Ranking) -> Optional[PreferenceVariable]:
 
 def order_values(var: PreferenceVariable) -> List[Tuple[int, int]]:
     """Live ``(penalty, slot)`` pairs, cheapest first, ties by earlier slot."""
-    live, penalty = var._live, var._penalty
-    return sorted([(penalty[slot], slot) for slot in range(len(live)) if live[slot]])
+    return sorted([(pen, slot) for slot, pen in enumerate(var._penalty)
+                   if pen is not None])
 
 
 BoundLayout = List[Tuple[Sequence[int], ResourceLayout]]
@@ -370,7 +370,9 @@ def solve_min_worst_violation(
     sense than the previous incumbent; when a round proves infeasible (or
     the incumbent reaches zero violation) the last incumbent maximizes the
     worst-case satisfaction, and the result is flagged optimal.  Time and
-    node budgets span the whole sequence of rounds.
+    node budgets span the whole sequence of rounds, and so does every
+    incumbent's ``nodes`` and ``elapsed``: its node count includes the
+    earlier rounds' nodes, and its time runs from the start of this call.
     """
     started = time.monotonic()
     deadline = None if config.time_limit is None else started + config.time_limit
@@ -379,6 +381,13 @@ def solve_min_worst_violation(
     best: Optional[Incumbent] = None
     proven = False
     cfg = config
+
+    def relay(incumbent: Incumbent) -> None:
+        nonlocal best
+        best = replace(incumbent, nodes=total_nodes + incumbent.nodes,
+                       elapsed=time.monotonic() - started)
+        if sink is not None:
+            sink(best)
 
     while True:
         if deadline is not None:
@@ -391,11 +400,10 @@ def solve_min_worst_violation(
             if remaining_nodes <= 0:
                 break
             cfg = replace(cfg, node_limit=remaining_nodes)
-        result = solve(instance, cfg, sink, cancel)
+        result = solve(instance, cfg, relay, cancel)
         total_nodes += result.nodes
         total_emitted += result.incumbents
         if result.best is not None:
-            best = result.best
             if result.status is not Status.OPTIMAL:
                 break  # round was interrupted; the shared budget is spent
             tightened = restart_tightening(instance, best, cfg)

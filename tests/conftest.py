@@ -38,7 +38,7 @@ def violation_share(var: PreferenceVariable, slot: int) -> int:
 
 def domain_size(var: PreferenceVariable) -> int:
     """Number of live slots."""
-    return sum(var._live)
+    return sum(pen is not None for pen in var._penalty)
 
 
 @dataclass

@@ -1,6 +1,7 @@
-"""Domain store: liveness, penalties, and exact trail restoration."""
+"""Domain store: live slots, penalties, and exact trail restoration."""
 
 import random
+import tracemalloc
 
 import pytest
 import hypothesis.strategies as st
@@ -25,6 +26,25 @@ def test_construction_and_queries():
     assert not v.contains(-1) and not v.contains(99)
     assert penalty(v, 7) == 1
     assert v.assignment is None
+
+
+def test_grid_storage_per_slot_is_as_documented():
+    """A 200,000-slot variable, built and then assigned, holds at most the
+    24 bytes per slot that the ``MAX_GRID_SLOTS`` comment and the README
+    state, up to a small fixed overhead."""
+    slots = 200_000
+    pairs = [(slot, slot % 5) for slot in range(slots)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        v = PreferenceVariable(0, pairs)
+        trail = Trail()  # keeps the replaced list, as search does
+        v.assign(slots // 2, trail)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert v.assignment == slots // 2 and len(trail) == 1
+    assert held <= 24 * slots + 4096
 
 
 def test_bad_construction():
@@ -79,7 +99,7 @@ def test_add_penalty_edge_cases():
     before = len(trail)
     v.add_penalty(1, 5, trail)
     assert len(trail) == before
-    assert violation_share(v, 1) == 0
+    assert not v.contains(1) and list(v.items()) == [(0, 0)]
 
 
 def test_remove_to_wipeout():

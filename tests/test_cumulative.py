@@ -326,7 +326,7 @@ def test_quota_on_mutated_search_state_matches_the_fraction_reference():
                 var.add_penalty(slot, rng.randint(1, 6), trail)
             else:
                 var.assign(slot, trail)
-        past_grid += any(t_max >= len(variables[a.id]._live) for a in acts)
+        past_grid += any(t_max >= len(variables[a.id]._penalty) for a in acts)
         early += any(a.duration > 1 and s < t_min <= s + a.duration - 1
                      for a in acts for s, _pen in variables[a.id].items())
         table = {a.id: rng.randint(0, 4) for a in acts}

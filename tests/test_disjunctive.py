@@ -299,10 +299,9 @@ def test_removal_without_charge_matches_charge_then_remove():
 
 
 def test_over_limit_starts_get_one_removal_record_each():
-    """Under limit 0 each live overlapping start of the neighbor costs one
-    removal record and no penalty record; without a limit, one penalty
-    record each."""
-    for limit, tag in ((0, Trail._REMOVE), (None, Trail._PENALTY)):
+    """Each live overlapping start of the neighbor costs one slot record
+    keeping its penalty, whether limit 0 removes it or no limit charges it."""
+    for limit in (0, None):
         vi = PreferenceVariable(1, [(2, 0)])
         vj = PreferenceVariable(2, [(t, 1) for t in range(7)])
         trail = Trail()
@@ -311,9 +310,8 @@ def test_over_limit_starts_get_one_removal_record_each():
         mark = trail.mark()
         vi.assign(2, trail)
         # interval [2, 5) meets the neighbor's starts 1 to 4; 3 is dead
-        records = [entry[0] for entry in trail._entries[mark + 1:]]
-        assert records == [tag] * 3
-        assert [entry[2] for entry in trail._entries[mark + 1:]] == [1, 2, 4]
+        records = [(tag, slot, pen) for tag, _var, slot, pen in trail._entries[mark + 1:]]
+        assert records == [(Trail._SLOT, slot, 1) for slot in (1, 2, 4)]
         if limit == 0:
             assert dict(vj.items()) == {0: 1, 5: 1, 6: 1}
         else:

@@ -63,6 +63,8 @@ def test_syntax_and_format_errors():
         parse_instance(b"\xff\xfe")
     assert exc.value.code == "bad-syntax"
     assert code_of(doc(format=2)) == "bad-format"
+    assert code_of(doc(format=True)) == "bad-format"
+    assert code_of(doc(format=1.0)) == "bad-format"
 
 
 def test_field_presence_is_strict():

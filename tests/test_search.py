@@ -336,6 +336,27 @@ def test_min_worst_violation_spends_one_node_budget_across_rounds():
     assert out.best is not None
 
 
+def test_min_worst_violation_incumbents_count_from_the_start_of_the_call():
+    """The best comes in the second round.  Every emitted incumbent counts
+    the nodes of the rounds before it and the time since the call began,
+    so neither figure ever decreases, and a solve cut at the best's node
+    count ends on the best."""
+    inst = generate(20, 4, 0.8, seed=4)
+    first_round = solve(inst)
+    emitted = []
+    out = solve_min_worst_violation(inst, sink=emitted.append)
+    assert out.status is Status.OPTIMAL and out.best == emitted[-1]
+    assert out.best.nodes > first_round.nodes
+    nodes = [inc.nodes for inc in emitted]
+    elapsed = [inc.elapsed for inc in emitted]
+    assert nodes == sorted(nodes) and nodes[-1] <= out.nodes
+    assert elapsed == sorted(elapsed) and elapsed[-1] <= out.elapsed
+    cut = solve_min_worst_violation(inst, SearchConfig(node_limit=out.best.nodes))
+    assert cut.best.assignment == out.best.assignment
+    early = solve_min_worst_violation(inst, SearchConfig(node_limit=out.best.nodes - 1))
+    assert early.best.assignment != out.best.assignment
+
+
 def incumbent_trace(result, seen):
     return result.status, result.nodes, [[inc.cost, inc.nodes] for inc in seen]
 
