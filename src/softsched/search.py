@@ -38,6 +38,16 @@ sibling, since values come cheapest first.  The whole group goes into the
 node count at once (up to the node limit) and is dropped without touching
 the trail, so node counts and incumbents stay those of visiting each child.
 
+The fuzzy restart (:func:`solve_min_worst_violation`) solves a chain of
+rounds, each capping every activity's violation one below the worst of the
+last incumbent; the final round must prove that nothing fits its cap.
+Before each round after the first, :func:`pigeonhole_clique` looks for
+unit activities that pairwise weigh more than the cap and together have
+fewer start slots than members: two of them must share a slot, so the
+round would fail, and the loop ends proven without running it.  The check
+gives up at a fixed work cap, and the round then runs as before.
+:func:`solve` never runs it.
+
 There is one implementation of the resource bound:
 :func:`resource_bound` builds the same layout and evaluates it once,
 ``softsched.oracle.verify_bound`` checks it at the root, and its
@@ -358,6 +368,59 @@ def restart_tightening(instance: Instance, previous: Incumbent,
     return replace(config, violation_limit=worst - 1)
 
 
+#: Most steps one :func:`pigeonhole_clique` call takes before it gives up.  A
+#: step adds one member to the clique or tests one candidate against it.
+CLIQUE_WORK_CAP = 20_000
+
+
+def pigeonhole_clique(instance: Instance, limit: int) -> Optional[List[int]]:
+    """Unit activities that no assignment keeps within a violation limit.
+
+    Looks for unit-duration activities, every two of them a soft pair that
+    weighs more than ``limit``, whose domains together offer fewer start
+    slots than there are members.  Two members must then share a slot, and
+    each of the two is violated past ``limit`` by their pair alone, so a
+    solve capped at ``limit`` is infeasible.  Returns the members' ids in
+    ascending order, or None.
+
+    The search is depth first over candidates in ascending id order and
+    stops at the first witness.  A branch is dropped once its members and
+    remaining candidates together cannot outnumber the slots its members
+    already offer, since adding members only widens that union.  After
+    :data:`CLIQUE_WORK_CAP` steps the search gives up and returns None, so
+    None proves nothing.
+    """
+    heavy: Dict[int, set] = {a.id: set() for a in instance.activities
+                             if a.duration == 1}
+    for p in instance.pairs:
+        if p.weight > limit and p.a in heavy and p.b in heavy:
+            heavy[p.a].add(p.b)
+            heavy[p.b].add(p.a)
+    slots = {aid: frozenset(slot for slot, _cost in instance.by_id[aid].domain)
+             for aid, adjacent in heavy.items() if adjacent}
+    work = 0
+    # One frame per clique size: (members, their slot union, the candidates
+    # adjacent to every member, the next one last).
+    stack = [([], frozenset(), sorted(slots, reverse=True))]
+    while stack:
+        clique, union, candidates = stack[-1]
+        if len(clique) + len(candidates) <= len(union):
+            stack.pop()
+            continue
+        aid = candidates.pop()
+        work += 1 + len(candidates)
+        if work > CLIQUE_WORK_CAP:
+            return None
+        members = clique + [aid]
+        covered = union | slots[aid]
+        if len(members) > len(covered):
+            return members
+        adjacent = heavy[aid]
+        stack.append((members, covered,
+                      [other for other in candidates if other in adjacent]))
+    return None
+
+
 def solve_min_worst_violation(
     instance: Instance, config: SearchConfig = SearchConfig(),
     sink: Optional[ProgressSink] = None,
@@ -367,12 +430,14 @@ def solve_min_worst_violation(
     is as lightly violated as possible.
 
     Each round keeps only assignments strictly better in the worst-case
-    sense than the previous incumbent; when a round proves infeasible (or
-    the incumbent reaches zero violation) the last incumbent maximizes the
-    worst-case satisfaction, and the result is flagged optimal.  Time and
-    node budgets span the whole sequence of rounds, and so does every
-    incumbent's ``nodes`` and ``elapsed``: its node count includes the
-    earlier rounds' nodes, and its time runs from the start of this call.
+    sense than the previous incumbent.  The loop ends when a round proves
+    infeasible, when :func:`pigeonhole_clique` shows that the next round
+    would, or when the incumbent reaches zero violation; the last incumbent
+    then maximizes the worst-case satisfaction, and the result is flagged
+    optimal.  Time and node budgets span the whole sequence of rounds, and
+    so does every incumbent's ``nodes`` and ``elapsed``: its node count
+    includes the earlier rounds' nodes, and its time runs from the start of
+    this call.
     """
     started = time.monotonic()
     deadline = None if config.time_limit is None else started + config.time_limit
@@ -407,8 +472,9 @@ def solve_min_worst_violation(
             if result.status is not Status.OPTIMAL:
                 break  # round was interrupted; the shared budget is spent
             tightened = restart_tightening(instance, best, cfg)
-            if tightened is None:
-                proven = True
+            if (tightened is None or pigeonhole_clique(
+                    instance, tightened.violation_limit) is not None):
+                proven = True  # nothing to improve, or the round would fail
                 break
             cfg = tightened
         else:

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,9 +10,10 @@ from softsched import (
     Activity, BoundMode, Incumbent, Instance, Resource, SearchConfig,
     SoftPair, Status, generate, solve, solve_min_worst_violation,
 )
+from softsched import search
 from softsched.core import PreferenceVariable, Trail
 from softsched.disjunctive import post_network, violation_profile
-from softsched.search import (order_values, rank_variables,
+from softsched.search import (order_values, pigeonhole_clique, rank_variables,
                               restart_tightening, select_variable)
 
 
@@ -324,7 +325,8 @@ def test_min_worst_violation_limits_and_infeasibility():
 
 
 def test_min_worst_violation_spends_one_node_budget_across_rounds():
-    inst = unit(3, 2, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
+    # The second round finds the best, so no clique settles it unrun.
+    inst = generate(20, 4, 0.8, seed=4)
     first = solve(inst)
     free = solve_min_worst_violation(inst)
     # the budget outlasts the first round and runs out inside a later one
@@ -371,7 +373,7 @@ def test_pinned_search_traces(corpus):
         Status.OPTIMAL, 5817, [[5, 30], [4, 255], [3, 1131], [2, 1369], [1, 4335]])
     seen = []
     assert incumbent_trace(solve_min_worst_violation(ladder, sink=seen.append), seen) == (
-        Status.OPTIMAL, 21244, [[5, 30], [4, 255], [3, 1131], [2, 1369], [1, 4335]])
+        Status.OPTIMAL, 5817, [[5, 30], [4, 255], [3, 1131], [2, 1369], [1, 4335]])
     name, mixed, _profile = corpus[195]   # durations 3, 2, 1, 1, 1, 3
     assert name == "c195"
     seen = []
@@ -383,3 +385,91 @@ def test_pinned_search_traces(corpus):
     capped = SearchConfig(violation_limit=1)
     assert incumbent_trace(solve(mixed, capped, sink=seen.append), seen) == (
         Status.OPTIMAL, 56, [[12, 17], [8, 24]])
+
+
+def assert_pigeonhole_witness(instance, limit, witness):
+    """Unit members, pairwise heavier than ``limit``, on fewer start slots."""
+    weight = {frozenset((p.a, p.b)): p.weight for p in instance.pairs}
+    assert witness == sorted(set(witness))
+    assert all(instance.activity(aid).duration == 1 for aid in witness)
+    for a, b in combinations(witness, 2):
+        assert weight.get(frozenset((a, b)), 0) > limit
+    starts = {slot for aid in witness for slot, _cost in instance.activity(aid).domain}
+    assert len(starts) < len(witness)
+
+
+def test_pigeonhole_cliques_are_sound(corpus):
+    """Every witness is well formed, and the solve it claims to settle,
+    capped at the same limit, proves infeasible.  On the corpus the
+    exhaustive profiler also finds no assignment within the limit."""
+    generated = [(generate(courses, rooms, 0.8, seed=seed), None)
+                 for courses in range(6, 17) for rooms in (2, 3) for seed in range(3)]
+    found = {"generated": 0, "corpus": 0}
+    for kind, cases in (("generated", generated),
+                        ("corpus", [(case, p) for _name, case, p in corpus])):
+        for inst, profile in cases:
+            for limit in range(4):
+                witness = pigeonhole_clique(inst, limit)
+                if witness is None:
+                    continue
+                found[kind] += 1
+                assert_pigeonhole_witness(inst, limit, witness)
+                capped = solve(inst, SearchConfig(violation_limit=limit))
+                assert capped.status is Status.INFEASIBLE
+                assert profile is None or profile.filtered_optimum(limit) is None
+    assert found["generated"] >= 50 and found["corpus"] >= 3, found
+
+
+def test_pigeonhole_clique_counts_only_unit_activities():
+    # Three activities pairwise heavier than the limit share the starts
+    # {0, 1}.  The third lasts two slots, so the rule leaves it out, and
+    # the two unit ones alone fit.
+    short = ((0, 0), (1, 0))
+    acts = (Activity(1, 1, 10, short), Activity(2, 1, 10, short),
+            Activity(3, 2, 10, short))
+    pairs = (SoftPair(1, 2, 2), SoftPair(1, 3, 2), SoftPair(2, 3, 2))
+    assert pigeonhole_clique(Instance(3, acts, pairs, ()), 0) is None
+    units = acts[:2] + (Activity(3, 1, 10, short),)
+    assert pigeonhole_clique(Instance(3, units, pairs, ()), 0) == [1, 2, 3]
+    assert pigeonhole_clique(Instance(3, units, pairs, ()), 2) is None
+
+
+def test_pigeonhole_clique_gives_up_at_its_work_cap(monkeypatch):
+    """Past the cap the clique search returns None, and the fuzzy restart
+    runs every round as it would without the rule."""
+    ladder = generate(30, 6, 0.7, 0)
+    assert pigeonhole_clique(ladder, 0) is not None
+    monkeypatch.setattr(search, "CLIQUE_WORK_CAP", 1)
+    assert pigeonhole_clique(ladder, 0) is None
+    seen = []
+    assert incumbent_trace(solve_min_worst_violation(ladder, sink=seen.append), seen) == (
+        Status.OPTIMAL, 21244, [[5, 30], [4, 255], [3, 1131], [2, 1369], [1, 4335]])
+
+
+def test_clique_search_runs_only_between_fuzzy_rounds(monkeypatch, corpus):
+    """``solve`` and a fuzzy restart cut inside its first round never call
+    the clique search; a full fuzzy restart calls it once per tightened
+    limit, in order."""
+    real = pigeonhole_clique
+
+    def refuse(instance, limit):
+        raise AssertionError("clique search outside the fuzzy restart loop")
+
+    monkeypatch.setattr(search, "pigeonhole_clique", refuse)
+    for _name, case, _profile in corpus:
+        solve(case)
+    inst = generate(20, 4, 0.8, seed=4)
+    seen = []
+    solve(inst, sink=seen.append)
+    cut = solve_min_worst_violation(inst, SearchConfig(node_limit=seen[0].nodes))
+    assert cut.status is Status.FEASIBLE and cut.best.nodes == seen[0].nodes
+
+    limits = []
+
+    def record(instance, limit):
+        limits.append(limit)
+        return real(instance, limit)
+
+    monkeypatch.setattr(search, "pigeonhole_clique", record)
+    assert solve_min_worst_violation(inst).status is Status.OPTIMAL
+    assert limits == [1, 0]
