@@ -23,7 +23,8 @@ from .cumulative import BoundMode, CapacityOverflow, Occupancy
 from .disjunctive import violation_profile, worst_case_satisfaction
 from .generator import generate
 from .instance import Instance, InstanceError, parse_instance, serialize_instance
-from .oracle import BoundViolation, Objective, enumerate_optimum, verify_bound
+from .oracle import (ENUMERATION_CAP, BoundViolation, Objective,
+                     enumerate_optimum, verify_bound)
 from .search import (Incumbent, SearchConfig, SolveResult, Status, solve,
                      solve_min_worst_violation)
 
@@ -335,7 +336,7 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser(
         "verify", help="check the lower bounds against brute force")
     p_verify.add_argument("instance")
-    p_verify.add_argument("--cap", type=int, default=10_000_000,
+    p_verify.add_argument("--cap", type=int, default=ENUMERATION_CAP,
                           help="refuse instances with more assignments")
     p_verify.add_argument("--fuzzy", action="store_true",
                           help="also print the fuzzy optimum")

@@ -15,7 +15,10 @@ those cheapest penalties over the unassigned variables: search reads its
 base bound from it in O(1) instead of rescanning every domain.  An
 assignment swaps in a one-hot penalty list, None but at the chosen slot, and
 its one trail record keeps the replaced list and cheapest value, so
-backtracking puts both back in O(1).
+backtracking puts both back in O(1).  A variable holds at most one soft
+constraint, ``PreferenceVariable.constraint``, set when a
+:class:`softsched.disjunctive.SoftDisjunctive` is constructed on it, and
+an assignment fires it directly.
 
 A removal and a penalty increment are the same change to the store: one
 slot's entry is overwritten, with None or with a larger penalty, and the
@@ -30,7 +33,10 @@ the cache and the base bound exact.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+
+if TYPE_CHECKING:  # disjunctive imports this module
+    from .disjunctive import SoftDisjunctive
 
 
 class SchedulingError(Exception):
@@ -135,7 +141,7 @@ class PreferenceVariable:
     with one comparison.  An empty domain caches ``(-1, 0)``.
     """
 
-    __slots__ = ("id", "assignment", "watchers", "_penalty", "_initial",
+    __slots__ = ("id", "assignment", "constraint", "_penalty", "_initial",
                  "_min_slot", "_min_pen")
 
     def __init__(self, var_id: int, pairs: List[Tuple[int, int]]):
@@ -153,7 +159,7 @@ class PreferenceVariable:
             penalty[slot] = cost
         self.id = var_id
         self.assignment: Optional[int] = None
-        self.watchers: List[Callable[[Trail], None]] = []
+        self.constraint: Optional[SoftDisjunctive] = None
         self._penalty = penalty
         self._initial = list(penalty)
         cost, slot = min((cost, slot) for slot, cost in pairs)
@@ -216,13 +222,14 @@ class PreferenceVariable:
             self._rescan(trail)
 
     def assign(self, slot: int, trail: Trail) -> None:
-        """Bind the variable to one slot and notify suspended constraints.
+        """Bind the variable to one slot and fire its constraint.
 
         A one-hot penalty list, None but at ``slot``, replaces the domain's,
         and one trail record keeps the replaced list with the cheapest value
-        it held.  Then every watcher runs in registration order before
-        control returns.  Watchers may raise :class:`DomainWipeout`; the
-        trail still covers everything done so far.
+        it held.  Then the soft constraint suspended on the variable, if
+        any, propagates before control returns.  It may raise
+        :class:`DomainWipeout`; the trail still covers everything done so
+        far.
         """
         if self.assignment is not None:
             raise ValueError(f"variable {self.id} is already assigned")
@@ -237,8 +244,9 @@ class PreferenceVariable:
         trail.base_bound -= self._min_pen  # leaves the unassigned sum
         self._min_slot, self._min_pen = slot, pen
         self.assignment = slot
-        for watcher in self.watchers:
-            watcher(trail)
+        constraint = self.constraint
+        if constraint is not None:
+            constraint.propagate(trail)
 
     # -- cheapest-value cache -----------------------------------------------
 

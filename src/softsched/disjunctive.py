@@ -1,10 +1,12 @@
 """Soft non-overlap constraints and assignment-quality evaluators.
 
-A soft disjunctive constraint records, for a pair of activities, a weighted
-preference that their execution intervals not intersect.  The constraint is
-event-driven: it stays suspended on a start variable and fires exactly when
-that variable is instantiated, pushing the arc weight onto every live value
-of each not-yet-instantiated neighbor that would overlap the chosen
+A soft disjunctive constraint records, for an activity and each neighbor
+it shares a pair with, a weighted preference that their execution
+intervals not intersect.  The constraint is event-driven: constructing it
+suspends it on the activity's start variable, which holds at most one
+constraint, and it fires exactly when that variable is instantiated,
+pushing the arc weight onto every live value of each not-yet-instantiated
+neighbor that would overlap the chosen
 interval.  A firing visits only the window of neighbor starts that can
 overlap that interval, not the neighbor's whole slot grid, and handles each
 live start there in one fused loop: a start the charge would push past a
@@ -27,7 +29,7 @@ assignment) and back both solver bookkeeping and reporting.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .core import DomainWipeout, PreferenceVariable, Trail
 from .instance import Instance
@@ -44,6 +46,11 @@ class SoftDisjunctive:
     """Weighted non-overlap preference suspended on one start variable.
 
     ``arcs`` holds (neighbor variable, neighbor duration, weight) triples.
+    Constructing the constraint posts it: it becomes ``var.constraint``,
+    and assigning ``var`` fires it.  A variable holds at most one, so all
+    of an activity's arcs go into one constraint, and every unordered pair
+    must be posted at both endpoints so that either instantiation order
+    propagates.  An empty arc list is allowed; the constraint is then inert.
     With a violation limit set, a neighbor value whose accumulated violation
     share (initial cost excluded) would exceed the limit once charged is
     removed instead of charged, so it never carries the increment that
@@ -53,12 +60,24 @@ class SoftDisjunctive:
     __slots__ = ("var", "duration", "arcs", "limit")
 
     def __init__(self, var: PreferenceVariable, duration: int,
-                 arcs: List[Tuple[PreferenceVariable, int, int]],
-                 limit: Optional[int]):
+                 arcs: Sequence[Tuple[PreferenceVariable, int, int]],
+                 limit: Optional[int] = None):
+        seen = set()
+        for other, _d, weight in arcs:
+            if other is var:
+                raise ValueError(f"variable {var.id} listed as its own neighbor")
+            if other.id in seen:
+                raise ValueError(f"duplicate neighbor {other.id} on variable {var.id}")
+            if weight < 1:
+                raise ValueError("arc weights must be >= 1")
+            seen.add(other.id)
+        if var.constraint is not None:
+            raise ValueError(f"variable {var.id} already holds a constraint")
         self.var = var
         self.duration = duration
-        self.arcs = arcs
+        self.arcs = list(arcs)
         self.limit = limit
+        var.constraint = self
 
     def propagate(self, trail: Trail) -> None:
         """Charge this activity's chosen interval to overlapping neighbor values.
@@ -108,32 +127,6 @@ class SoftDisjunctive:
                             raise DomainWipeout(other.id)
 
 
-def post_soft_disjunctive(
-    var: PreferenceVariable,
-    duration: int,
-    neighbors: Sequence[Tuple[PreferenceVariable, int, int]],
-    limit: Optional[int] = None,
-) -> SoftDisjunctive:
-    """Suspend a soft non-overlap constraint on ``var`` and return the handle.
-
-    ``neighbors`` lists (variable, duration, weight) arcs.  An empty arc
-    list is allowed; the handle is then inert.  Every unordered pair must be
-    posted at both endpoints so that either instantiation order propagates.
-    """
-    seen = set()
-    for other, _d, weight in neighbors:
-        if other is var:
-            raise ValueError(f"variable {var.id} listed as its own neighbor")
-        if other.id in seen:
-            raise ValueError(f"duplicate neighbor {other.id} on variable {var.id}")
-        if weight < 1:
-            raise ValueError("arc weights must be >= 1")
-        seen.add(other.id)
-    constraint = SoftDisjunctive(var, duration, list(neighbors), limit)
-    var.watchers.append(constraint.propagate)
-    return constraint
-
-
 def post_network(
     instance: Instance,
     variables: Mapping[int, PreferenceVariable],
@@ -148,7 +141,7 @@ def post_network(
         arcs = [(variables[other], instance.activity(other).duration, weight)
                 for other, weight in instance.incident[act.id]]
         if arcs:
-            post_soft_disjunctive(variables[act.id], act.duration, arcs, limit)
+            SoftDisjunctive(variables[act.id], act.duration, arcs, limit)
 
 
 # ---------------------------------------------------------------------------

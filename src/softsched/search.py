@@ -351,23 +351,6 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     return SolveResult(status, best, nodes, elapsed, emitted)
 
 
-def restart_tightening(instance: Instance, previous: Incumbent,
-                       config: SearchConfig) -> Optional[SearchConfig]:
-    """Cap the next run's per-activity violation just below the last one.
-
-    Computes the worst incident violation in the previous incumbent and
-    returns the config with the violation limit set one below it.  Returns
-    None when that worst violation is already zero — nothing can improve.
-    """
-    if instance.pairs:
-        worst = max(violation_profile(instance, previous.assignment).values())
-    else:
-        worst = 0
-    if worst == 0:
-        return None
-    return replace(config, violation_limit=worst - 1)
-
-
 #: Most steps one :func:`pigeonhole_clique` call takes before it gives up.  A
 #: step adds one member to the clique or tests one candidate against it.
 CLIQUE_WORK_CAP = 20_000
@@ -429,15 +412,17 @@ def solve_min_worst_violation(
     """Drive repeated solves toward the assignment whose worst-hit activity
     is as lightly violated as possible.
 
-    Each round keeps only assignments strictly better in the worst-case
-    sense than the previous incumbent.  The loop ends when a round proves
-    infeasible, when :func:`pigeonhole_clique` shows that the next round
-    would, or when the incumbent reaches zero violation; the last incumbent
-    then maximizes the worst-case satisfaction, and the result is flagged
-    optimal.  Time and node budgets span the whole sequence of rounds, and
-    so does every incumbent's ``nodes`` and ``elapsed``: its node count
-    includes the earlier rounds' nodes, and its time runs from the start of
-    this call.
+    The first round runs ``config`` as given.  Each later round caps every
+    activity's incident violation one below the worst in the previous
+    round's best, so it keeps only assignments strictly better in the
+    worst-case sense.  The loop ends when a round proves infeasible, when
+    :func:`pigeonhole_clique` shows that the next round would, or when the
+    incumbent reaches zero violation, so no cap is left to try; the last
+    incumbent then maximizes the worst-case satisfaction, and the result is
+    flagged optimal.  Time and node budgets span the whole sequence of
+    rounds, and so does every incumbent's ``nodes`` and ``elapsed``: its
+    node count includes the earlier rounds' nodes, and its time runs from
+    the start of this call.
     """
     started = time.monotonic()
     deadline = None if config.time_limit is None else started + config.time_limit
@@ -471,12 +456,12 @@ def solve_min_worst_violation(
         if result.best is not None:
             if result.status is not Status.OPTIMAL:
                 break  # round was interrupted; the shared budget is spent
-            tightened = restart_tightening(instance, best, cfg)
-            if (tightened is None or pigeonhole_clique(
-                    instance, tightened.violation_limit) is not None):
+            limit = (max(violation_profile(instance, best.assignment).values())
+                     if instance.pairs else 0) - 1
+            if limit < 0 or pigeonhole_clique(instance, limit) is not None:
                 proven = True  # nothing to improve, or the round would fail
                 break
-            cfg = tightened
+            cfg = replace(cfg, violation_limit=limit)
         else:
             if result.status is Status.INFEASIBLE:
                 proven = True

@@ -169,6 +169,19 @@ def test_verify_subcommand(easy, tmp_path, capsys):
     assert main(["verify", rigged]) == 1
     assert "BOUND VIOLATION" in capsys.readouterr().err
 
+    full = Resource("r", (1,), 0, 1, (1, 1), (1, 1), (1, 1))
+    infeasible = write_instance(tmp_path / "infeasible.json",
+                                Instance(2, (act,), (), (full,)))
+    assert main(["verify", infeasible]) == 0
+    assert "bounds pass vacuously" in capsys.readouterr().out
+
+    assert main(["verify", str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err
+
+    lone = write_instance(tmp_path / "lone.json", Instance(2, (act,), (), ()))
+    assert main(["verify", lone, "--fuzzy"]) == 0
+    assert "fuzzy optimum undefined" in capsys.readouterr().out
+
 
 def test_verify_cap_refusal(tmp_path, capsys):
     path = write_instance(tmp_path / "wide.json", clique(6, 6))

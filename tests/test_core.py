@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from conftest import domain_size, penalty, violation_share
 from softsched.core import DomainWipeout, PreferenceVariable, Trail
-from softsched.disjunctive import post_soft_disjunctive
+from softsched.disjunctive import SoftDisjunctive
 
 
 def snapshot(var):
@@ -121,18 +121,27 @@ def test_remove_to_wipeout():
         w.remove_value(1, trail)
 
 
-def test_assign_removes_rest_and_fires_watchers_in_order():
+def test_assign_removes_rest_and_fires_its_constraint():
     v = PreferenceVariable(0, [(0, 1), (1, 0), (2, 3)])
+    assert v.constraint is None
     calls = []
-    v.watchers.append(lambda tr: calls.append("a"))
-    v.watchers.append(lambda tr: calls.append("b"))
+
+    class Recorder(SoftDisjunctive):
+        __slots__ = ()
+
+        def propagate(self, trail):
+            calls.append((self.var.assignment, trail))
+
+    constraint = Recorder(v, 1, [])
+    assert v.constraint is constraint
     trail = Trail()
     v.assign(1, trail)
     assert v.assignment == 1
     assert [slot for slot, _pen in v.items()] == [1]
-    assert calls == ["a", "b"]
+    assert calls == [(1, trail)]
     with pytest.raises(ValueError):
         v.assign(1, trail)
+    assert len(calls) == 1
 
 
 def test_assign_to_dead_slot_rejected():
@@ -262,7 +271,7 @@ def random_network(rng):
     for v in variables:
         arcs = [(o, durations[o.id], weights[min(v.id, o.id), max(v.id, o.id)])
                 for o in variables if o is not v]
-        post_soft_disjunctive(v, durations[v.id], arcs, limit)
+        SoftDisjunctive(v, durations[v.id], arcs, limit)
     return variables
 
 

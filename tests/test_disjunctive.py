@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 
 import pytest
@@ -13,8 +12,8 @@ from conftest import penalty, violation_share
 from softsched import Activity, Instance, SoftPair
 from softsched.core import DomainWipeout, PreferenceVariable, Trail
 from softsched.disjunctive import (
-    SoftDisjunctive, overlaps, post_network, post_soft_disjunctive,
-    violation_profile, worst_case_satisfaction,
+    SoftDisjunctive, overlaps, post_network, violation_profile,
+    worst_case_satisfaction,
 )
 
 
@@ -38,8 +37,8 @@ def test_propagation_charges_overlapping_values():
     vi = PreferenceVariable(1, [(2, 0)])
     vj = PreferenceVariable(2, [(t, 0) for t in range(5)])
     trail = Trail()
-    post_soft_disjunctive(vi, 2, [(vj, 1, 5)])
-    post_soft_disjunctive(vj, 1, [(vi, 2, 5)])
+    SoftDisjunctive(vi, 2, [(vj, 1, 5)])
+    SoftDisjunctive(vj, 1, [(vi, 2, 5)])
     vi.assign(2, trail)
     # interval [2, 4) clashes with the neighbor's starts 2 and 3 only
     assert dict(vj.items()) == {0: 0, 1: 0, 2: 5, 3: 5, 4: 0}
@@ -50,7 +49,7 @@ def test_threshold_removes_overcharged_values():
     vi = PreferenceVariable(1, [(2, 0)])
     vj = PreferenceVariable(2, [(t, 0) for t in range(5)])
     trail = Trail()
-    post_soft_disjunctive(vi, 2, [(vj, 1, 5)], limit=4)
+    SoftDisjunctive(vi, 2, [(vj, 1, 5)], limit=4)
     vi.assign(2, trail)
     assert [slot for slot, _pen in vj.items()] == [0, 1, 4]
 
@@ -59,8 +58,8 @@ def test_assigned_neighbor_is_not_recharged():
     """Each pair is charged exactly once no matter who fires second."""
     vi = PreferenceVariable(1, [(0, 0), (1, 0)])
     vj = PreferenceVariable(2, [(0, 0), (1, 0)])
-    post_soft_disjunctive(vi, 1, [(vj, 1, 3)])
-    post_soft_disjunctive(vj, 1, [(vi, 1, 3)])
+    SoftDisjunctive(vi, 1, [(vj, 1, 3)])
+    SoftDisjunctive(vj, 1, [(vi, 1, 3)])
     trail = Trail()
     vi.assign(0, trail)
     vj.assign(0, trail)
@@ -72,11 +71,16 @@ def test_posting_rejects_bad_arcs():
     v1 = PreferenceVariable(1, [(0, 0)])
     v2 = PreferenceVariable(2, [(0, 0)])
     with pytest.raises(ValueError):
-        post_soft_disjunctive(v1, 1, [(v1, 1, 2)])
+        SoftDisjunctive(v1, 1, [(v1, 1, 2)])
     with pytest.raises(ValueError):
-        post_soft_disjunctive(v1, 1, [(v2, 1, 2), (v2, 1, 1)])
+        SoftDisjunctive(v1, 1, [(v2, 1, 2), (v2, 1, 1)])
     with pytest.raises(ValueError):
-        post_soft_disjunctive(v1, 1, [(v2, 1, 0)])
+        SoftDisjunctive(v1, 1, [(v2, 1, 0)])
+    assert v1.constraint is None
+    first = SoftDisjunctive(v1, 1, [(v2, 1, 2)])
+    with pytest.raises(ValueError):
+        SoftDisjunctive(v1, 1, [(v2, 1, 3)])  # a second constraint on v1
+    assert v1.constraint is first
 
 
 def test_evaluators_on_three_way_clash():
@@ -196,18 +200,21 @@ def mirrored_networks(rng, limit, reference):
                for _ in range(size)]
     weights = {(a, b): rng.randint(1, 3)
                for a in range(size) for b in range(a + 1, size) if rng.random() < 0.8}
+
+    class Reference(SoftDisjunctive):
+        __slots__ = ()
+
+        def propagate(self, trail):
+            reference(self, trail)
+
     copies = []
-    for is_reference in (False, True):
+    for kind in (SoftDisjunctive, Reference):
         variables = [PreferenceVariable(vid, domains[vid]) for vid in range(size)]
         for var in variables:
             arcs = [(o, durations[o.id], weights[min(var.id, o.id), max(var.id, o.id)])
                     for o in variables
                     if (min(var.id, o.id), max(var.id, o.id)) in weights]
-            if is_reference:
-                constraint = SoftDisjunctive(var, durations[var.id], arcs, limit)
-                var.watchers.append(partial(reference, constraint))
-            else:
-                post_soft_disjunctive(var, durations[var.id], arcs, limit)
+            kind(var, durations[var.id], arcs, limit)
         trail = Trail()
         trail.base_bound = sum(v.min_penalty()[1] for v in variables)
         copies.append((variables, trail))
@@ -306,7 +313,7 @@ def test_over_limit_starts_get_one_removal_record_each():
         vj = PreferenceVariable(2, [(t, 1) for t in range(7)])
         trail = Trail()
         vj.remove_value(3, trail)
-        post_soft_disjunctive(vi, 3, [(vj, 2, 1)], limit=limit)
+        SoftDisjunctive(vi, 3, [(vj, 2, 1)], limit=limit)
         mark = trail.mark()
         vi.assign(2, trail)
         # interval [2, 5) meets the neighbor's starts 1 to 4; 3 is dead

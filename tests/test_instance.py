@@ -84,6 +84,10 @@ def test_type_errors_reject_booleans():
     assert code_of(doc(horizon="4")) == "bad-type"
     assert code_of(doc(horizon=True)) == "bad-type"
     assert code_of(doc(activities={})) == "bad-type"
+    with pytest.raises(InstanceError) as exc:
+        parse_instance("[]")
+    assert exc.value.code == "bad-type"
+    assert code_of(doc(activities=[[1, 2, 12]])) == "bad-type"
     d = doc()
     d["activities"][0]["domain"] = [[0]]
     assert code_of(d) == "bad-type"

@@ -7,14 +7,14 @@ from itertools import combinations, product
 import pytest
 
 from softsched import (
-    Activity, BoundMode, Incumbent, Instance, Resource, SearchConfig,
+    Activity, BoundMode, Instance, Resource, SearchConfig,
     SoftPair, Status, generate, solve, solve_min_worst_violation,
 )
 from softsched import search
 from softsched.core import PreferenceVariable, Trail
 from softsched.disjunctive import post_network, violation_profile
 from softsched.search import (order_values, pigeonhole_clique, rank_variables,
-                              restart_tightening, select_variable)
+                              select_variable)
 
 
 def brute_force(instance):
@@ -280,15 +280,6 @@ def test_runs_are_reproducible():
     assert a.incumbents == b.incumbents
 
 
-def test_restart_tightening_steps_below_worst():
-    inst = unit(2, 1, [(1, 2, 4)])
-    prev = Incumbent({1: 0, 2: 0}, 4, 0.0, 1)
-    cfg = restart_tightening(inst, prev, SearchConfig())
-    assert cfg.violation_limit == 3
-    clean = Incumbent({1: 0, 2: 1}, 0, 0.0, 1)
-    assert restart_tightening(unit(2, 2, [(1, 2, 4)]), clean, SearchConfig()) is None
-
-
 def test_min_worst_violation_loop():
     # three activities, two slots: someone must clash, the loop spreads it
     inst = unit(3, 2, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
@@ -336,6 +327,11 @@ def test_min_worst_violation_spends_one_node_budget_across_rounds():
     assert out.status is Status.FEASIBLE
     assert out.nodes == limit
     assert out.best is not None
+    # the first round exhausts on the budget's last node: no second round
+    exact = solve_min_worst_violation(inst, SearchConfig(node_limit=first.nodes))
+    assert exact.status is Status.FEASIBLE
+    assert exact.nodes == first.nodes
+    assert (exact.best.cost, exact.best.nodes) == (first.best.cost, first.best.nodes)
 
 
 def test_min_worst_violation_incumbents_count_from_the_start_of_the_call():
