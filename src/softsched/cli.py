@@ -15,7 +15,6 @@ import json
 import signal
 import sys
 from collections import Counter
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .core import Trail
@@ -49,7 +48,7 @@ def build_breakdown(instance: Instance, assignment: Dict[int, int]) -> dict:
     profile = violation_profile(instance, assignment)
     violation = sum(profile.values()) // 2  # each overlapping pair counts twice
     if len(instance.activities) >= 2 and instance.total_weight >= 1:
-        fuzzy = worst_case_satisfaction(instance, assignment)
+        fuzzy = worst_case_satisfaction(instance, profile)
         fuzzy_text = f"{fuzzy.numerator}/{fuzzy.denominator}"
     else:
         fuzzy_text = None

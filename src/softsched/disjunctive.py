@@ -5,22 +5,30 @@ it shares a pair with, a weighted preference that their execution
 intervals not intersect.  The constraint is event-driven: constructing it
 suspends it on the activity's start variable, which holds at most one
 constraint, and it fires exactly when that variable is instantiated,
-pushing the arc weight onto every live value of each not-yet-instantiated
-neighbor that would overlap the chosen
-interval.  A firing visits only the window of neighbor starts that can
-overlap that interval, not the neighbor's whole slot grid, and handles each
-live start there in one fused loop: a start the charge would push past a
-violation limit is removed (its penalty entry becomes None), any other is
-charged.  Either way the loop itself writes the one trail record, which
-keeps the penalty the start held, and then the start's new entry, and
-rescans the neighbor's cheapest value only when the touched start was the
-cheapest.
+pushing the arc weight onto every live value of each neighbor that would
+overlap the chosen interval.  A firing visits only the window of neighbor
+starts that can overlap that interval, not the neighbor's whole slot grid,
+and handles each live start there in one fused loop: a start the charge
+would push past a violation limit is removed (its penalty entry becomes
+None), any other is charged.  Either way the loop itself writes the one
+trail record, which keeps the penalty the start held, and then the start's
+new entry, and rescans the neighbor's cheapest value only when the touched
+start was the cheapest.
 That is the per-node cost of search, so the loop makes no per-slot method
-call except the rescan.  Charging violations only toward uninstantiated
-neighbors counts every violated pair exactly once — on the endpoint
+call except the rescan.
+
+Without a violation limit (a weighted round) a firing skips instantiated
+neighbors.  That counts every violated pair exactly once — on the endpoint
 instantiated later — so the penalties sitting at the assigned values of a
 complete assignment sum to the initial costs plus the total weighted
 violation, regardless of instantiation order.
+
+With a limit (a capped round) a firing visits instantiated neighbors too:
+the window meets such a neighbor's one live start exactly when the two
+intervals overlap, and charges it, or removes it past the limit, which
+wipes the neighbor out and fails the instantiation being made.  Every pair
+is then charged on both endpoints, so an instantiated activity's share is
+its whole incident violation, and no complete assignment exceeds the limit.
 
 The evaluators at the bottom are pure functions over (instance, complete
 assignment) and back both solver bookkeeping and reporting.
@@ -51,10 +59,11 @@ class SoftDisjunctive:
     of an activity's arcs go into one constraint, and every unordered pair
     must be posted at both endpoints so that either instantiation order
     propagates.  An empty arc list is allowed; the constraint is then inert.
-    With a violation limit set, a neighbor value whose accumulated violation
-    share (initial cost excluded) would exceed the limit once charged is
-    removed instead of charged, so it never carries the increment that
-    would have pushed it over.
+    With a violation limit set, a neighbor value, an assigned neighbor's
+    one value included, whose accumulated violation share (initial cost
+    excluded) would exceed the limit once charged is removed instead of
+    charged, so it never carries the increment that would have pushed it
+    over.
     """
 
     __slots__ = ("var", "duration", "arcs", "limit")
@@ -91,6 +100,11 @@ class SoftDisjunctive:
         :meth:`PreferenceVariable.remove_value`, wipeout included; any other
         is charged, leaving that of :meth:`PreferenceVariable.add_penalty`.
 
+        Without a limit an assigned neighbor is skipped, since its own
+        firing charged the pair; with one, its one-hot list puts its chosen
+        start in the window exactly when the intervals overlap, and that
+        start is charged or removed like any other.
+
         Removing without charging is exact: a removed slot keeps no penalty,
         and the undo revives it with its penalty from before this firing.
         The live state after every step and every undo is what charging and
@@ -102,8 +116,8 @@ class SoftDisjunctive:
         limit = self.limit
         entries = trail._entries
         for other, d_other, weight in self.arcs:
-            if other.assignment is not None:
-                continue  # pair already charged when the neighbor fired
+            if other.assignment is not None and limit is None:
+                continue  # weighted round: charged when the neighbor fired
             penalty = other._penalty
             lo = start - d_other + 1
             if lo < 0:
@@ -162,9 +176,10 @@ def violation_profile(instance: Instance,
 
 
 def worst_case_satisfaction(instance: Instance,
-                            assignment: Mapping[int, int]) -> Fraction:
+                            profile: Mapping[int, int]) -> Fraction:
     """Worst per-activity normalized preference, an exact rational in [0, 1].
 
+    ``profile`` is the :func:`violation_profile` of a complete assignment.
     Each activity's incident violation u is normalized against m*(n-1),
     where n is the activity count and m the total requirement weight over
     all pairs (a pair of weight w stands for w individual requirements).
@@ -176,5 +191,4 @@ def worst_case_satisfaction(instance: Instance,
     if n < 2 or m == 0:
         raise ValueError(
             "worst-case satisfaction needs >= 2 activities and >= 1 weighted pair")
-    worst_u = max(violation_profile(instance, assignment).values())
-    return 1 - Fraction(worst_u, m * (n - 1))
+    return 1 - Fraction(max(profile.values()), m * (n - 1))

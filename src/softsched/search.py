@@ -22,7 +22,10 @@ solve, so a node reads only live state (:func:`layout_bound`).  Hard
 capacities are counted on one :class:`softsched.cumulative.Occupancy` per
 resource: each assignment places the variable on the resources that hold
 it, an overflow fails the child, and a leaf must leave no slot under
-``cap_min``; the bound reads the same counts.  The cheapest-value sum is not
+``cap_min``; the bound reads the same counts.  A violation limit is kept by
+propagation alone: the soft constraints charge both ends of every pair and
+fail the child whose assignment would take any activity past the limit, so
+a leaf is not checked against it.  The cheapest-value sum is not
 recomputed: every variable keeps its cheapest live value current through
 its trailed mutations, and the trail keeps the sum of those over the
 unassigned variables (``Trail.base_bound``), so the base bound costs O(1)
@@ -237,7 +240,9 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     node sequence and incumbents are reproducible exactly; only the elapsed
     times vary.  Children that cannot beat the incumbent are cut unassigned
     (see the module docstring) but still counted, so ``nodes`` and each
-    incumbent's ``nodes`` are those of visiting every child.
+    incumbent's ``nodes`` are those of visiting every child.  A child that
+    would take an activity past ``config.violation_limit`` fails when it is
+    assigned, so a leaf is never checked against the limit.
     """
     started = time.monotonic()
     deadline = None if config.time_limit is None else started + config.time_limit
@@ -290,14 +295,10 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
                 rewind = False
             elif all(occ.deficit_slot() is None for occ in resources):
                 assignment = {aid: v.assignment for aid, v in variables.items()}
-                if (config.violation_limit is None or not instance.pairs
-                        or max(violation_profile(instance, assignment).values())
-                        <= config.violation_limit):
-                    best = Incumbent(assignment, cost,
-                                     time.monotonic() - started, nodes)
-                    emitted += 1
-                    if sink is not None:
-                        sink(best)
+                best = Incumbent(assignment, cost, time.monotonic() - started, nodes)
+                emitted += 1
+                if sink is not None:
+                    sink(best)
 
         # Step to the next child of the deepest open choice point.  While
         # ``rewind`` is set, a child of the top one has just finished.

@@ -219,16 +219,25 @@ def test_c3_bounds_hold_on_sub_windows_with_multi_slot_members():
 
 def test_c4_threshold_filtering_is_exact(corpus):
     """Solving under a per-activity cap matches enumeration filtered by the
-    same cap: binding caps shift the optimum, loose caps leave it alone."""
+    same cap: binding caps shift the optimum, loose caps leave it alone.
+    Caps 0 to 2 run on the corpus (durations 1 to 3) and on generated
+    instances, and no incumbent of a capped solve passes its cap."""
+    def capped_solve(inst, cap):
+        seen = []
+        res = solve(inst, SearchConfig(violation_limit=cap), sink=seen.append)
+        for inc in seen:
+            assert max(violation_profile(inst, inc.assignment).values()) <= cap
+        return res
+
     below = above = 0
     for name, inst, prof in corpus:
         if not prof.feasible or not inst.pairs:
             continue
         base = solve(inst)
         worst = max(violation_profile(inst, base.best.assignment).values())
-        caps = [worst, worst + 1] + ([worst - 1] if worst > 0 else [])
+        caps = sorted({0, 1, 2, worst - 1, worst, worst + 1} - {-1})
         for cap in caps:
-            res = solve(inst, SearchConfig(violation_limit=cap))
+            res = capped_solve(inst, cap)
             want = prof.filtered_optimum(cap)
             if cap >= worst:
                 assert want == prof.min_cost, (name, cap)
@@ -241,6 +250,20 @@ def test_c4_threshold_filtering_is_exact(corpus):
                 assert res.status is Status.OPTIMAL, (name, cap)
                 assert res.best.cost == want, (name, cap)
     assert below >= 100 and above >= 500
+    for courses in (5, 6, 7):
+        for rooms in (2, 3):
+            for seed in range(3):
+                inst = generate(courses, rooms, 0.7, seed=seed,
+                                courses_per_student=2, cost_chance=0.6)
+                for cap in (0, 1, 2):
+                    case = (courses, rooms, seed, cap)
+                    res = capped_solve(inst, cap)
+                    want = enumerate_optimum(inst, violation_limit=cap).optimum
+                    if want is None:
+                        assert res.status is Status.INFEASIBLE, case
+                    else:
+                        assert res.status is Status.OPTIMAL, case
+                        assert res.best.cost == want, case
 
 
 def test_c5_fuzzy_restarts_reach_the_fuzzy_optimum(corpus):
@@ -252,7 +275,8 @@ def test_c5_fuzzy_restarts_reach_the_fuzzy_optimum(corpus):
             continue
         res = solve_min_worst_violation(inst)
         assert res.status is Status.OPTIMAL, name
-        got = worst_case_satisfaction(inst, res.best.assignment)
+        got = worst_case_satisfaction(
+            inst, violation_profile(inst, res.best.assignment))
         oracle = enumerate_optimum(inst, objective=Objective.FUZZY)
         assert got == oracle.optimum, name
         m, n = inst.total_weight, len(inst.activities)

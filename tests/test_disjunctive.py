@@ -55,7 +55,8 @@ def test_threshold_removes_overcharged_values():
 
 
 def test_assigned_neighbor_is_not_recharged():
-    """Each pair is charged exactly once no matter who fires second."""
+    """Without a limit each pair is charged exactly once no matter who
+    fires second."""
     vi = PreferenceVariable(1, [(0, 0), (1, 0)])
     vj = PreferenceVariable(2, [(0, 0), (1, 0)])
     SoftDisjunctive(vi, 1, [(vj, 1, 3)])
@@ -66,6 +67,30 @@ def test_assigned_neighbor_is_not_recharged():
     assert penalty(vi, 0) == 0
     assert penalty(vj, 0) == 3
 
+
+
+def test_limit_charges_and_wipes_out_an_assigned_neighbor():
+    """Under a limit a firing charges an assigned neighbor's slot as well,
+    so the neighbor that a later assignment would overload wipes out."""
+    va = PreferenceVariable(1, [(0, 0)])
+    vb = PreferenceVariable(2, [(0, 0), (1, 0)])
+    vc = PreferenceVariable(3, [(0, 0), (1, 0)])
+    SoftDisjunctive(va, 1, [(vb, 1, 1), (vc, 1, 1)], limit=1)
+    SoftDisjunctive(vb, 1, [(va, 1, 1)], limit=1)
+    SoftDisjunctive(vc, 1, [(va, 1, 1)], limit=1)
+    trail = Trail()
+    va.assign(0, trail)
+    vb.assign(0, trail)
+    assert violation_share(va, 0) == 1
+    mark = trail.mark()
+    before = ([(list(v._penalty), v._min_slot, v._min_pen, v.assignment)
+               for v in (va, vb, vc)], trail.base_bound)
+    with pytest.raises(DomainWipeout) as wiped:
+        vc.assign(0, trail)
+    assert wiped.value.var_id == va.id
+    trail.undo_to(mark)
+    assert ([(list(v._penalty), v._min_slot, v._min_pen, v.assignment)
+             for v in (va, vb, vc)], trail.base_bound) == before
 
 def test_posting_rejects_bad_arcs():
     v1 = PreferenceVariable(1, [(0, 0)])
@@ -96,17 +121,20 @@ def test_evaluators_on_three_way_clash():
 def test_worst_case_satisfaction_unit_weights():
     inst = unit_instance(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
     # m = 3, n = 3; the worst activity carries u = 2 of the 6 requirements
-    assert worst_case_satisfaction(inst, {1: 0, 2: 0, 3: 0}) == Fraction(2, 3)
-    assert worst_case_satisfaction(inst, {1: 0, 2: 1, 3: 2}) == 1
+    together = violation_profile(inst, {1: 0, 2: 0, 3: 0})
+    assert worst_case_satisfaction(inst, together) == Fraction(2, 3)
+    apart = violation_profile(inst, {1: 0, 2: 1, 3: 2})
+    assert worst_case_satisfaction(inst, apart) == 1
 
 
 def test_worst_case_satisfaction_needs_a_network():
     lonely = unit_instance(1, [])
     with pytest.raises(ValueError):
-        worst_case_satisfaction(lonely, {1: 0})
+        worst_case_satisfaction(lonely, violation_profile(lonely, {1: 0}))
     unweighted = unit_instance(2, [])
     with pytest.raises(ValueError):
-        worst_case_satisfaction(unweighted, {1: 0, 2: 0})
+        worst_case_satisfaction(unweighted,
+                                violation_profile(unweighted, {1: 0, 2: 0}))
 
 
 @st.composite
@@ -163,7 +191,7 @@ def full_scan_propagate(constraint, trail):
     d = constraint.duration
     limit = constraint.limit
     for other, d_other, weight in constraint.arcs:
-        if other.assignment is not None:
+        if other.assignment is not None and limit is None:
             continue
         for slot, _pen in list(other.items()):
             if overlaps(start, d, slot, d_other):
@@ -181,7 +209,7 @@ def charge_then_remove_propagate(constraint, trail):
     d = constraint.duration
     limit = constraint.limit
     for other, d_other, weight in constraint.arcs:
-        if other.assignment is not None:
+        if other.assignment is not None and limit is None:
             continue
         for slot, _pen in list(other.items()):
             if overlaps(start, d, slot, d_other):
