@@ -205,10 +205,11 @@ def _cmd_report(args) -> int:
         ids = [entry["id"] for entry in doc["assignment"]]
         entries = Counter(ids)
         assignment = {entry["id"]: entry["start"] for entry in doc["assignment"]}
-        stored = doc["breakdown"]
-        if not isinstance(stored, dict):
-            raise TypeError(f"breakdown is {stored!r}, not an object")
-        stored_cost = doc["cost"]
+        stored, stats = doc["breakdown"], doc["stats"]
+        for name, value in (("breakdown", stored), ("stats", stats)):
+            if not isinstance(value, dict):
+                raise TypeError(f"{name} is {value!r}, not an object")
+        stored_cost, optimal = doc["cost"], doc["optimal"]
     except (OSError, InstanceError, KeyError, TypeError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"softsched: cannot read inputs: {exc!r}", file=sys.stderr)
@@ -258,32 +259,31 @@ def _cmd_report(args) -> int:
             print(f"softsched: resource {res.name!r} falls short of cap_min "
                   f"at slot {slot}", file=sys.stderr)
             return 1
-    # 1.0 and true compare equal to 1, so the figures' types are checked first
-    figures = [("cost", stored_cost)]
-    figures += [(key, stored[key]) for key in ("initial_cost_sum", "violation_sum")
-                if key in stored]
-    per_activity = stored.get("per_activity_u")
-    if isinstance(per_activity, list):
-        figures += [(f"per_activity_u {key}", entry[key]) for entry in per_activity
-                    if isinstance(entry, dict) for key in ("id", "u") if key in entry]
-    for name, value in figures:
-        if type(value) is not int:
-            print(f"softsched: stored {name} {value!r} is not an integer",
-                  file=sys.stderr)
-            return 1
-    fresh = build_breakdown(instance, assignment)
-    if fresh != stored:
-        print("softsched: stored breakdown does not match the assignment:",
+    if type(optimal) is not bool:
+        print(f"softsched: optimal is {optimal!r}, not a boolean",
               file=sys.stderr)
-        for key in fresh:
-            if fresh[key] != stored.get(key):
-                print(f"  {key}: stored {stored.get(key)!r}, "
-                      f"recomputed {fresh[key]!r}", file=sys.stderr)
         return 1
+    for key, kinds, noun in (("nodes", (int,), "integer"),
+                             ("incumbents", (int,), "integer"),
+                             ("elapsed", (int, float), "number")):
+        value = stats.get(key)
+        if type(value) not in kinds or not value >= 0:  # NaN too
+            print(f"softsched: stats {key} is {value!r}, not a non-negative "
+                  f"{noun}", file=sys.stderr)
+            return 1
+    # JSON text tells 1, 1.0 and true apart, which == does not
+    fresh = build_breakdown(instance, assignment)
     cost = fresh["initial_cost_sum"] + fresh["violation_sum"]
-    if cost != stored_cost:
-        print(f"softsched: stored cost {stored_cost} != recomputed {cost}",
-              file=sys.stderr)
+    wrong = []
+    for have, want in (({"cost": stored_cost}, {"cost": cost}), (stored, fresh)):
+        for key in {**want, **have}:
+            texts = [json.dumps(side[key], sort_keys=True) if key in side
+                     else "absent" for side in (have, want)]
+            if texts[0] != texts[1]:
+                wrong.append(f"  {key}: stored {texts[0]}, recomputed {texts[1]}")
+    if wrong:
+        print("softsched: stored figures do not match the assignment:", *wrong,
+              sep="\n", file=sys.stderr)
         return 1
     worst = max((e["u"] for e in fresh["per_activity_u"]), default=0)
     print(f"{args.solution}: consistent with {args.instance}")

@@ -60,7 +60,7 @@ class Trail:
       it was raised or removed (set to None);
     - an assignment: the variable, the penalty list the assignment
       replaced, and the cheapest ``(slot, penalty)`` it had before;
-    - an occupancy bump: one counter of a resource and its increment.
+    - an occupancy bump: one counter of a resource, raised by 1.
 
     Undoing a suffix of entries restores the touched objects bit-for-bit.
     Records older than an assignment act on the list it replaced, which is
@@ -91,8 +91,8 @@ class Trail:
         """Current position; pass to :meth:`undo_to` to rewind."""
         return len(self._entries)
 
-    def push_occupancy(self, counts: List[int], index: int, delta: int) -> None:
-        self._entries.append((Trail._OCCUPANCY, counts, index, delta))
+    def push_occupancy(self, counts: List[int], index: int) -> None:
+        self._entries.append((Trail._OCCUPANCY, counts, index))
 
     def undo_to(self, mark: int) -> None:
         """Rewind to a previous :meth:`mark`, newest entries first."""
@@ -113,8 +113,8 @@ class Trail:
                 bound += min_pen
                 continue
             else:
-                _, counts, index, delta = entry
-                counts[index] -= delta
+                _, counts, index = entry
+                counts[index] -= 1
                 continue
             # The live slot got cheaper or came back: it may be the new cheapest.
             best_slot, best = var._min_slot, var._min_pen

@@ -106,7 +106,7 @@ class Occupancy:
         for i in range(max(start, r.t_min) - r.t_min,
                        min(start + duration - 1, r.t_max) - r.t_min + 1):
             counts[i] += 1
-            trail.push_occupancy(counts, i, 1)
+            trail.push_occupancy(counts, i)
             if counts[i] > cap_max[i]:
                 raise CapacityOverflow(r.name, r.t_min + i)
 

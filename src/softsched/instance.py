@@ -147,11 +147,11 @@ def _want_list(node, where: str) -> list:
     return node
 
 
-def _check_fields(obj: dict, allowed: set, required: set, where: str) -> None:
+def _check_fields(obj: dict, fields: set, where: str) -> None:
     for key in obj:
-        if key not in allowed:
+        if key not in fields:
             raise InstanceError(UNKNOWN_FIELD, f"{where}.{key}", "unknown field")
-    for key in required:
+    for key in fields:
         if key not in obj:
             raise InstanceError(MISSING_FIELD, where, f"missing field '{key}'")
 
@@ -179,7 +179,7 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         raise InstanceError(BAD_SYNTAX, f"line {exc.lineno} column {exc.colno}", exc.msg) from None
 
     root = _want_object(root, "$")
-    _check_fields(root, _TOP_FIELDS, _TOP_FIELDS, "$")
+    _check_fields(root, _TOP_FIELDS, "$")
     # true == 1 and 1.0 == 1 in Python, so the type is checked first
     if type(root["format"]) is not int or root["format"] != FORMAT_VERSION:
         raise InstanceError(BAD_FORMAT, "$.format", f"unsupported format {root['format']!r}")
@@ -191,7 +191,7 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
     for idx, node in enumerate(_want_list(root["activities"], "$.activities")):
         where = f"$.activities[{idx}]"
         obj = _want_object(node, where)
-        _check_fields(obj, _ACTIVITY_FIELDS, _ACTIVITY_FIELDS, where)
+        _check_fields(obj, _ACTIVITY_FIELDS, where)
         aid = _want_int(obj["id"], f"{where}.id", minimum=0)
         if aid in seen_ids:
             raise InstanceError(DUPLICATE_ID, f"{where}.id", f"activity id {aid} repeated")
@@ -232,7 +232,7 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
     for idx, node in enumerate(_want_list(root["soft_disjunctive"], "$.soft_disjunctive")):
         where = f"$.soft_disjunctive[{idx}]"
         obj = _want_object(node, where)
-        _check_fields(obj, _PAIR_FIELDS, _PAIR_FIELDS, where)
+        _check_fields(obj, _PAIR_FIELDS, where)
         a = _want_int(obj["a"], f"{where}.a")
         b = _want_int(obj["b"], f"{where}.b")
         weight = _want_int(obj["weight"], f"{where}.weight", minimum=1)
@@ -250,7 +250,7 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
     for idx, node in enumerate(_want_list(root["resources"], "$.resources")):
         where = f"$.resources[{idx}]"
         obj = _want_object(node, where)
-        _check_fields(obj, _RESOURCE_FIELDS, _RESOURCE_FIELDS, where)
+        _check_fields(obj, _RESOURCE_FIELDS, where)
         name = obj["name"]
         if not isinstance(name, str):
             raise InstanceError(BAD_TYPE, f"{where}.name", "expected a string")

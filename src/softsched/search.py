@@ -51,6 +51,11 @@ round would fail, and the loop ends proven without running it.  The check
 gives up at a fixed work cap, and the round then runs as before.
 :func:`solve` never runs it.
 
+Both drivers share one status rule: OPTIMAL or FEASIBLE with an incumbent,
+INFEASIBLE or UNKNOWN without, the first of each when the search is proven:
+:func:`solve` when it exhausts its tree, the fuzzy restart when its last
+round was proven and no budget ran out after it.
+
 There is one implementation of the resource bound:
 :func:`resource_bound` builds the same layout and evaluates it once,
 ``softsched.oracle.verify_bound`` checks it at the root, and its
@@ -111,6 +116,16 @@ class SolveResult:
     nodes: int
     elapsed: float
     incumbents: int
+
+
+def _result(best: Optional[Incumbent], proven: bool, nodes: int,
+            started: float, emitted: int) -> SolveResult:
+    """The status rule of both drivers; see the module docstring."""
+    if best is not None:
+        status = Status.OPTIMAL if proven else Status.FEASIBLE
+    else:
+        status = Status.INFEASIBLE if proven else Status.UNKNOWN
+    return SolveResult(status, best, nodes, time.monotonic() - started, emitted)
 
 
 ProgressSink = Callable[[Incumbent], None]
@@ -344,12 +359,7 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
         if not stack or not exhausted:
             break
 
-    elapsed = time.monotonic() - started
-    if best is not None:
-        status = Status.OPTIMAL if exhausted else Status.FEASIBLE
-    else:
-        status = Status.INFEASIBLE if exhausted else Status.UNKNOWN
-    return SolveResult(status, best, nodes, elapsed, emitted)
+    return _result(best, exhausted, nodes, started, emitted)
 
 
 #: Most steps one :func:`pigeonhole_clique` call takes before it gives up.  A
@@ -430,7 +440,6 @@ def solve_min_worst_violation(
     total_nodes = 0
     total_emitted = 0
     best: Optional[Incumbent] = None
-    proven = False
     cfg = config
 
     def relay(incumbent: Incumbent) -> None:
@@ -441,6 +450,7 @@ def solve_min_worst_violation(
             sink(best)
 
     while True:
+        proven = False
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -454,25 +464,13 @@ def solve_min_worst_violation(
         result = solve(instance, cfg, relay, cancel)
         total_nodes += result.nodes
         total_emitted += result.incumbents
-        if result.best is not None:
-            if result.status is not Status.OPTIMAL:
-                break  # round was interrupted; the shared budget is spent
-            limit = (max(violation_profile(instance, best.assignment).values())
-                     if instance.pairs else 0) - 1
-            if limit < 0 or pigeonhole_clique(instance, limit) is not None:
-                proven = True  # nothing to improve, or the round would fail
-                break
-            cfg = replace(cfg, violation_limit=limit)
-        else:
-            if result.status is Status.INFEASIBLE:
-                proven = True
-            break
+        proven = result.status in (Status.OPTIMAL, Status.INFEASIBLE)
+        if result.best is None or not proven:
+            break  # the cap cannot be met, or the shared budget is spent
+        limit = (max(violation_profile(instance, best.assignment).values())
+                 if instance.pairs else 0) - 1
+        if limit < 0 or pigeonhole_clique(instance, limit) is not None:
+            break  # nothing to improve, or the round would fail
+        cfg = replace(cfg, violation_limit=limit)
 
-    elapsed = time.monotonic() - started
-    if best is not None:
-        status = Status.OPTIMAL if proven else Status.FEASIBLE
-    elif proven:
-        status = Status.INFEASIBLE
-    else:
-        status = Status.UNKNOWN
-    return SolveResult(status, best, total_nodes, elapsed, total_emitted)
+    return _result(best, proven, total_nodes, started, total_emitted)

@@ -8,6 +8,7 @@ import pytest
 
 from softsched import Activity, Instance, Resource, SoftPair
 from softsched.cli import main
+from softsched.generator import generate
 from softsched.instance import serialize_instance
 
 
@@ -306,14 +307,89 @@ def test_report_refuses_a_figure_that_is_not_an_integer(tmp_path, capsys, field,
     if field == "cost":
         owner, name = doc, "cost"
     elif field in ("id", "u"):
-        owner, name = doc["breakdown"]["per_activity_u"][0], f"per_activity_u {field}"
+        owner, name = doc["breakdown"]["per_activity_u"][0], "per_activity_u"
     else:
         owner, name = doc["breakdown"], field
     owner[field] = forged = kind(owner[field])
     sol.write_text(json.dumps(doc))
     assert main(["report", inst, str(sol)]) == 1
-    assert (f"stored {name} {forged!r} is not an integer"
+    text = json.dumps(forged)
+    if name == "per_activity_u":
+        text = f'"{field}": {text}'
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines
+            if line.startswith(f"  {name}: stored ") and text in line]
+
+
+def solved_doc(tmp_path):
+    """generate(12, 3, 0.7, 1) solved to optimality, and its solution file."""
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(serialize_instance(generate(12, 3, 0.7, 1)))
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(inst), "--out", str(sol)]) == 0
+    return str(inst), sol, json.loads(sol.read_text())
+
+
+@pytest.mark.parametrize("key, forged", [
+    ("violated_pct_initial", False),  # == 0.0, but JSON text false
+    ("violated_pct_initial", 0),      # == 0.0, but JSON text 0
+])
+def test_report_compares_figures_by_json_text(tmp_path, capsys, key, forged):
+    inst, sol, doc = solved_doc(tmp_path)
+    assert doc["breakdown"][key] == forged  # the forgery hides from ==
+    doc["breakdown"][key] = forged
+    sol.write_text(json.dumps(doc))
+    assert main(["report", inst, str(sol)]) == 1
+    assert (f"  {key}: stored {json.dumps(forged)}, recomputed"
             in capsys.readouterr().err)
+
+
+def test_report_names_an_extra_or_missing_breakdown_key(tmp_path, capsys):
+    inst, sol, doc = solved_doc(tmp_path)
+    doc["breakdown"]["bonus"] = 0
+    del doc["breakdown"]["fuzzy"]
+    sol.write_text(json.dumps(doc))
+    assert main(["report", inst, str(sol)]) == 1
+    err = capsys.readouterr().err
+    assert "  bonus: stored 0, recomputed absent" in err
+    assert "  fuzzy: stored absent, recomputed" in err
+
+
+@pytest.mark.parametrize("forged", ["yes", 1, None], ids=["str", "int", "null"])
+def test_report_refuses_an_optimal_flag_that_is_not_a_boolean(tmp_path, capsys,
+                                                              forged):
+    inst, sol, doc = solved_doc(tmp_path)
+    doc["optimal"] = forged
+    sol.write_text(json.dumps(doc))
+    assert main(["report", inst, str(sol)]) == 1
+    assert (f"optimal is {forged!r}, not a boolean"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key, forged, noun", [
+    ("nodes", -5, "integer"), ("nodes", 3.0, "integer"),
+    ("incumbents", True, "integer"), ("incumbents", None, "integer"),
+    ("elapsed", -0.5, "number"), ("elapsed", "1", "number"),
+    ("elapsed", float("nan"), "number"),
+])
+def test_report_refuses_stats_that_are_not_non_negative(tmp_path, capsys, key,
+                                                         forged, noun):
+    inst, sol, doc = solved_doc(tmp_path)
+    if forged is None:
+        del doc["stats"][key]
+    else:
+        doc["stats"][key] = forged
+    sol.write_text(json.dumps(doc))
+    assert main(["report", inst, str(sol)]) == 1
+    assert (f"stats {key} is {forged!r}, not a non-negative {noun}"
+            in capsys.readouterr().err)
+
+
+def test_report_accepts_an_integer_elapsed_time(tmp_path, capsys):
+    inst, sol, doc = solved_doc(tmp_path)
+    doc["stats"]["elapsed"] = 0
+    sol.write_text(json.dumps(doc))
+    assert main(["report", inst, str(sol)]) == 0
 
 
 def test_report_refuses_a_breakdown_that_is_not_an_object(easy, tmp_path,

@@ -183,7 +183,7 @@ def test_occupancy_records_roll_back():
     mark = trail.mark()
     for i in (0, 1, 1):
         counts[i] += 1
-        trail.push_occupancy(counts, i, 1)
+        trail.push_occupancy(counts, i)
     assert counts == [1, 2, 0]
     trail.undo_to(mark)
     assert counts == [0, 0, 0]
