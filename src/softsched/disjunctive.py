@@ -37,7 +37,7 @@ assignment) and back both solver bookkeeping and reporting.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import DomainWipeout, PreferenceVariable, Trail
 from .instance import Instance
@@ -145,17 +145,20 @@ def post_network(
     instance: Instance,
     variables: Mapping[int, PreferenceVariable],
     limit: Optional[int] = None,
-) -> None:
+) -> List[SoftDisjunctive]:
     """Post one constraint per activity carrying all its soft arcs.
 
     Registers both directions of every pair.  Activities without soft arcs
-    get no constraint.
+    get no constraint.  Returns the posted constraints.
     """
+    constraints = []
     for act in instance.activities:
         arcs = [(variables[other], instance.activity(other).duration, weight)
                 for other, weight in instance.incident[act.id]]
         if arcs:
-            SoftDisjunctive(variables[act.id], act.duration, arcs, limit)
+            constraints.append(
+                SoftDisjunctive(variables[act.id], act.duration, arcs, limit))
+    return constraints
 
 
 # ---------------------------------------------------------------------------

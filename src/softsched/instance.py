@@ -151,7 +151,7 @@ def _check_fields(obj: dict, fields: set, where: str) -> None:
     for key in obj:
         if key not in fields:
             raise InstanceError(UNKNOWN_FIELD, f"{where}.{key}", "unknown field")
-    for key in fields:
+    for key in sorted(fields):  # set order follows the string hash seed
         if key not in obj:
             raise InstanceError(MISSING_FIELD, where, f"missing field '{key}'")
 

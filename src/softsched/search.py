@@ -41,20 +41,24 @@ sibling, since values come cheapest first.  The whole group goes into the
 node count at once (up to the node limit) and is dropped without touching
 the trail, so node counts and incumbents stay those of visiting each child.
 
-The fuzzy restart (:func:`solve_min_worst_violation`) solves a chain of
-rounds, each capping every activity's violation one below the worst of the
-last incumbent; the final round must prove that nothing fits its cap.
-Before each round after the first, :func:`pigeonhole_clique` looks for
-unit activities that pairwise weigh more than the cap and together have
-fewer start slots than members: two of them must share a slot, so the
-round would fail, and the loop ends proven without running it.  The check
-gives up at a fixed work cap, and the round then runs as before.
-:func:`solve` never runs it.
+The fuzzy restart (:func:`solve_min_worst_violation`) runs a chain of
+rounds in the same loop, each capping every activity's violation one below
+the worst of the last round's best; the final round must prove that nothing
+fits its cap.  A round that exhausts its tree leaves the trail empty, and
+with it the store, the base bound and the occupancy counts as they were
+before the round, so the next round only sets its cap on every soft
+constraint and visits the root again.  The rounds share one setup, one
+clock, one node count and one budget.  Before each round after the first,
+:func:`pigeonhole_clique` looks for unit activities that pairwise weigh
+more than the cap and together have fewer start slots than members: two of
+them must share a slot, so the round would fail, and the loop ends proven
+without running it.  The check gives up at a fixed work cap, and the round
+then runs as before.  A weighted solve never runs it.
 
-Both drivers share one status rule: OPTIMAL or FEASIBLE with an incumbent,
-INFEASIBLE or UNKNOWN without, the first of each when the search is proven:
-:func:`solve` when it exhausts its tree, the fuzzy restart when its last
-round was proven and no budget ran out after it.
+One status rule holds: OPTIMAL or FEASIBLE with an incumbent, INFEASIBLE
+or UNKNOWN without, the first of each when the search exhausted its tree
+(in a fuzzy restart, the last round's tree).  The incumbent of a fuzzy
+restart is the best of its last round that found one.
 
 There is one implementation of the resource bound:
 :func:`resource_bound` builds the same layout and evaluates it once,
@@ -65,7 +69,7 @@ per-resource step comes from :mod:`softsched.cumulative`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
@@ -120,7 +124,7 @@ class SolveResult:
 
 def _result(best: Optional[Incumbent], proven: bool, nodes: int,
             started: float, emitted: int) -> SolveResult:
-    """The status rule of both drivers; see the module docstring."""
+    """The status rule; see the module docstring."""
     if best is not None:
         status = Status.OPTIMAL if proven else Status.FEASIBLE
     else:
@@ -247,11 +251,14 @@ def resource_bound(instance: Instance,
 
 def solve(instance: Instance, config: SearchConfig = SearchConfig(),
           sink: Optional[ProgressSink] = None,
-          cancel: Optional[CancelCheck] = None) -> SolveResult:
+          cancel: Optional[CancelCheck] = None, *,
+          _fuzzy: bool = False) -> SolveResult:
     """Run the branch and bound to exhaustion or to a limit.
 
-    Emits each improving incumbent to ``sink`` as it is found; the emitted
-    costs are strictly decreasing.  With identical instance and config the
+    Emits each improving incumbent to ``sink`` as it is found; within a
+    round the emitted costs are strictly decreasing, but a later round of a
+    fuzzy restart (``_fuzzy``, see :func:`solve_min_worst_violation`) may
+    emit a dearer first incumbent.  With identical instance and config the
     node sequence and incumbents are reproducible exactly; only the elapsed
     times vary.  Children that cannot beat the incumbent are cut unassigned
     (see the module docstring) but still counted, so ``nodes`` and each
@@ -266,7 +273,7 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
                  for a in instance.activities}
     trail = Trail()
     trail.base_bound = sum(var.min_penalty()[1] for var in variables.values())
-    post_network(instance, variables, limit=config.violation_limit)
+    constraints = post_network(instance, variables, limit=config.violation_limit)
     resources = [Occupancy(r) for r in instance.resources]
     holds: Dict[int, List[Occupancy]] = {aid: [] for aid in variables}
     for occ in resources:
@@ -277,6 +284,7 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     durations = {a.id: a.duration for a in instance.activities}
 
     best: Optional[Incumbent] = None
+    last: Optional[Incumbent] = None  # the best of the last fuzzy round
     nodes = 0
     emitted = 0
     node_limit = config.node_limit
@@ -356,10 +364,22 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
                 continue
             cost = node_cost + pen
             break
-        if not stack or not exhausted:
+        if stack and exhausted:
+            continue
+        if not _fuzzy or not exhausted or best is None:
             break
+        # The fuzzy round is exhausted, which left the trail empty and the
+        # store as it was before the round: cap the next one below the
+        # worst violation of this one's best and visit the root again.
+        limit = max(violation_profile(instance, best.assignment).values(),
+                    default=0) - 1
+        if limit < 0 or pigeonhole_clique(instance, limit) is not None:
+            break  # nothing to improve, or the round would fail
+        for constraint in constraints:
+            constraint.limit = limit
+        last, best, cost = best, None, 0
 
-    return _result(best, exhausted, nodes, started, emitted)
+    return _result(best or last, exhausted, nodes, started, emitted)
 
 
 #: Most steps one :func:`pigeonhole_clique` call takes before it gives up.  A
@@ -420,57 +440,20 @@ def solve_min_worst_violation(
     sink: Optional[ProgressSink] = None,
     cancel: Optional[CancelCheck] = None,
 ) -> SolveResult:
-    """Drive repeated solves toward the assignment whose worst-hit activity
-    is as lightly violated as possible.
+    """Search rounds toward the assignment whose worst-hit activity is as
+    lightly violated as possible.
 
-    The first round runs ``config`` as given.  Each later round caps every
-    activity's incident violation one below the worst in the previous
-    round's best, so it keeps only assignments strictly better in the
-    worst-case sense.  The loop ends when a round proves infeasible, when
+    One :func:`solve` runs the rounds on one setup.  The first round runs
+    ``config`` as given.  Each later round caps every activity's incident
+    violation one below the worst in the previous round's best, so it
+    keeps only assignments strictly better in the worst-case sense.  The
+    chain ends when a round proves infeasible, when
     :func:`pigeonhole_clique` shows that the next round would, or when the
     incumbent reaches zero violation, so no cap is left to try; the last
     incumbent then maximizes the worst-case satisfaction, and the result is
-    flagged optimal.  Time and node budgets span the whole sequence of
-    rounds, and so does every incumbent's ``nodes`` and ``elapsed``: its
-    node count includes the earlier rounds' nodes, and its time runs from
-    the start of this call.
+    flagged optimal.  Time and node budgets span the whole chain, and so
+    does every incumbent's ``nodes`` and ``elapsed``: its node count
+    includes the earlier rounds' nodes, and its time runs from the start of
+    this call.
     """
-    started = time.monotonic()
-    deadline = None if config.time_limit is None else started + config.time_limit
-    total_nodes = 0
-    total_emitted = 0
-    best: Optional[Incumbent] = None
-    cfg = config
-
-    def relay(incumbent: Incumbent) -> None:
-        nonlocal best
-        best = replace(incumbent, nodes=total_nodes + incumbent.nodes,
-                       elapsed=time.monotonic() - started)
-        if sink is not None:
-            sink(best)
-
-    while True:
-        proven = False
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            cfg = replace(cfg, time_limit=remaining)
-        if config.node_limit is not None:
-            remaining_nodes = config.node_limit - total_nodes
-            if remaining_nodes <= 0:
-                break
-            cfg = replace(cfg, node_limit=remaining_nodes)
-        result = solve(instance, cfg, relay, cancel)
-        total_nodes += result.nodes
-        total_emitted += result.incumbents
-        proven = result.status in (Status.OPTIMAL, Status.INFEASIBLE)
-        if result.best is None or not proven:
-            break  # the cap cannot be met, or the shared budget is spent
-        limit = (max(violation_profile(instance, best.assignment).values())
-                 if instance.pairs else 0) - 1
-        if limit < 0 or pigeonhole_clique(instance, limit) is not None:
-            break  # nothing to improve, or the round would fail
-        cfg = replace(cfg, violation_limit=limit)
-
-    return _result(best, proven, total_nodes, started, total_emitted)
+    return solve(instance, config, sink, cancel, _fuzzy=True)

@@ -268,21 +268,37 @@ def test_c4_threshold_filtering_is_exact(corpus):
 
 def test_c5_fuzzy_restarts_reach_the_fuzzy_optimum(corpus):
     """The tightening loop, run to its own proof of optimality, maximizes
-    the worst-case satisfaction exactly."""
-    checked = 0
+    the worst-case satisfaction exactly, at the least cost within that
+    worst violation.  Started under a preset cap, it proves the cap
+    infeasible when it lies below the best worst violation, and otherwise
+    ends where the uncapped start does."""
+    checked = capped = 0
     for name, inst, prof in corpus:
         if not prof.feasible or not inst.pairs or len(inst.activities) < 2:
             continue
         res = solve_min_worst_violation(inst)
         assert res.status is Status.OPTIMAL, name
-        got = worst_case_satisfaction(
-            inst, violation_profile(inst, res.best.assignment))
+        profile = violation_profile(inst, res.best.assignment)
+        worst = max(profile.values())
+        got = worst_case_satisfaction(inst, profile)
         oracle = enumerate_optimum(inst, objective=Objective.FUZZY)
         assert got == oracle.optimum, name
         m, n = inst.total_weight, len(inst.activities)
         assert got == 1 - Fraction(prof.min_worst_u, m * (n - 1)), name
+        assert res.best.cost == prof.filtered_optimum(prof.min_worst_u), name
+        if checked % 3 == 0:
+            for cap in range(3):
+                out = solve_min_worst_violation(inst, SearchConfig(violation_limit=cap))
+                if cap < prof.min_worst_u:
+                    assert out.status is Status.INFEASIBLE, (name, cap)
+                else:
+                    assert out.status is Status.OPTIMAL, (name, cap)
+                    assert max(violation_profile(inst, out.best.assignment).values()) == (
+                        worst), (name, cap)
+                    assert out.best.cost == res.best.cost, (name, cap)
+                capped += 1
         checked += 1
-    assert checked >= 300
+    assert checked >= 300 and capped >= 300
 
 
 def run_cli(args, **kw):

@@ -1,11 +1,16 @@
 """Instance file format: parsing, validation codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import softsched
 from softsched import (
     Activity, Instance, InstanceError, Resource, SoftPair, parse_instance,
 )
@@ -78,6 +83,24 @@ def test_field_presence_is_strict():
     d = doc()
     d["soft_disjunctive"][0]["note"] = "x"
     assert code_of(d) == "unknown-field"
+
+
+def test_missing_field_message_does_not_depend_on_hash_seed():
+    """Fields are checked in sorted order, so a document missing several of
+    them names the same one under every string hash seed."""
+    src = str(Path(softsched.__file__).resolve().parent.parent)
+    script = ("from softsched import parse_instance\n"
+              "try:\n"
+              "    parse_instance(b'{\"format\": 1}')\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    messages = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        messages.add(out.stdout)
+    assert messages == {"$: missing field 'activities' [missing-field]\n"}
 
 
 def test_type_errors_reject_booleans():

@@ -370,6 +370,16 @@ def test_pinned_search_traces(corpus):
     seen = []
     assert incumbent_trace(solve_min_worst_violation(ladder, sink=seen.append), seen) == (
         Status.OPTIMAL, 5817, [[5, 30], [4, 255], [3, 1131], [2, 1369], [1, 4335]])
+    # A real capped round: its first incumbent costs more than the uncapped
+    # round's best (3 -> 12), and the last round proves nothing fits a cap
+    # below worst violation 1.
+    seen = []
+    assert incumbent_trace(
+        solve_min_worst_violation(generate(40, 8, 0.7, 0), sink=seen.append), seen) == (
+        Status.OPTIMAL, 38029,
+        [[9, 40], [8, 174], [7, 861], [6, 2833], [5, 3909], [4, 7452], [3, 12906],
+         [12, 23221], [9, 23334], [8, 23444], [7, 23694], [6, 24428], [5, 25068],
+         [4, 26000]])
     name, mixed, _profile = corpus[195]   # durations 3, 2, 1, 1, 1, 3
     assert name == "c195"
     seen = []
