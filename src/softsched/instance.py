@@ -151,9 +151,10 @@ def _check_fields(obj: dict, fields: set, where: str) -> None:
     for key in obj:
         if key not in fields:
             raise InstanceError(UNKNOWN_FIELD, f"{where}.{key}", "unknown field")
-    for key in sorted(fields):  # set order follows the string hash seed
-        if key not in obj:
-            raise InstanceError(MISSING_FIELD, where, f"missing field '{key}'")
+    if len(obj) < len(fields):  # every key is known, so one field is missing
+        # The first missing one in sorted order: set order follows the hash seed.
+        key = min(key for key in fields if key not in obj)
+        raise InstanceError(MISSING_FIELD, where, f"missing field '{key}'")
 
 
 def _want_int(node, where: str, minimum: int = None) -> int:
