@@ -223,8 +223,7 @@ def _cmd_report(args) -> int:
     if missing:
         print(f"softsched: solution misses activities {missing}", file=sys.stderr)
         return 1
-    known = {a.id for a in instance.activities}
-    unknown = [aid for aid in entries if aid not in known]
+    unknown = [aid for aid in entries if aid not in instance.by_id]
     if unknown:
         print(f"softsched: solution names unknown activities {unknown}",
               file=sys.stderr)
@@ -249,7 +248,7 @@ def _cmd_report(args) -> int:
         occupancy = Occupancy(res)
         try:
             for aid in res.members:
-                occupancy.place(assignment[aid], instance.activity(aid).duration,
+                occupancy.place(assignment[aid], instance.by_id[aid].duration,
                                 trail)
         except CapacityOverflow as exc:
             print(f"softsched: {exc}", file=sys.stderr)

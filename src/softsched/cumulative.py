@@ -19,22 +19,23 @@ is only valid when ``cap_exp`` genuinely understates the occupancy of every
 feasible schedule, which is the caller's modelling obligation.
 
 This module holds the per-resource step: :func:`contribution_with_quota`
-ranks and sums the excesses for an explicit per-slot quota.  What it reads
-of a resource that stays fixed through a solve — each member's variable,
-duration, integer weight and tie rank, and the lcm of the durations — is a
-:class:`ResourceLayout`, built once per solve.  Per call it reads each
-unassigned member through one row of live state, a covering grid holding
-per slot the cheapest live start that covers it, or None where none does.
-A unit-duration member's penalty list already is its covering grid, so its
+ranks and sums the excesses for an explicit per-slot quota.  What the
+bound reads of a resource that stays fixed through a solve — the declared
+row its mode charges, each member's variable, duration, integer weight and
+tie rank, and the lcm of the durations — is a :class:`ResourceLayout`,
+built once per solve.  Per call the step reads each unassigned member
+through one row of live state, a covering grid holding per slot the
+cheapest live start that covers it, or None where none does.  A
+unit-duration member's penalty list already is its covering grid, so its
 row holds the variable's own list and nothing is copied; a longer member's
 covering grid is built per call.  Each slot with a positive quota is then
 one comprehension over the rows, ranking one integer key per member that
-can run there.  :func:`slot_excess` is the same covering
-minimum for one slot and one member, kept as the per-slot definition the
-kernel is tested against.  The bound itself — quotas from the live
-occupancy, resources charged in turn, each charged share raising its
-member's floor for the next — is :func:`softsched.search.resource_bound`,
-the one implementation: search evaluates its layout at every node, and
+can run there.  :func:`slot_excess` is the same covering minimum for one
+slot and one member, kept as the per-slot definition the kernel is tested
+against.  The bound itself — quotas from the live occupancy, resources
+charged in turn, each charged share raising its member's floor for the
+next — is :func:`softsched.search.resource_bound`, the one
+implementation: search evaluates its layouts at every node, and
 ``verify_bound`` checks it.
 """
 
@@ -164,30 +165,34 @@ def _covering_grid(var: PreferenceVariable, duration: int) -> List[Optional[int]
 class ResourceLayout:
     """What the bound reads of one resource that stays fixed through a solve.
 
-    ``members`` holds one entry per member copy (an id repeated in
-    ``resource.members`` gets one per copy): its variable, id, duration,
-    covering-grid length, integer weight and tie rank.  ``scale`` is the lcm
-    of the member durations, and a member's ratio excess/duration is
-    ``excess * (scale // duration)`` in units of ``1 / scale``.  ``ids`` are
-    the distinct member ids ascending, and a member's rank is the index of
-    its id there, so ``ratio * len(ids) + rank`` orders members by ratio and
-    then by id, whatever the ids are; the weight is ``(scale // duration) *
-    len(ids)``.  Per call only live state is read: the penalty list and
-    cached cheapest penalty of each unassigned variable.  An unassigned
-    variable holds its own list (an assignment swaps in a one-hot list of
-    the same length, and backtracking puts the old one back), so the grid
-    lengths recorded here stay valid.
+    ``declared`` is the per-slot occupancy the bound ``mode`` charges:
+    ``cap_min`` in MIN mode, ``cap_exp`` in EXP mode; NONE charges nothing
+    and raises KeyError.  ``members`` holds one entry per member copy (an
+    id repeated in ``resource.members`` gets one per copy): its variable,
+    id, duration, covering-grid length, integer weight and tie rank.
+    ``scale`` is the lcm of the member durations, and a member's ratio
+    excess/duration is ``excess * (scale // duration)`` in units of
+    ``1 / scale``.  ``ids`` are the distinct member ids ascending, and a
+    member's rank is the index of its id there, so ``ratio * len(ids) +
+    rank`` orders members by ratio and then by id, whatever the ids are;
+    the weight is ``(scale // duration) * len(ids)``.  Per call only live
+    state is read: the penalty list and cached cheapest penalty of each
+    unassigned variable.  An unassigned variable holds its own list (an
+    assignment swaps in a one-hot list of the same length, and backtracking
+    puts the old one back), so the grid lengths recorded here stay valid.
     """
 
-    __slots__ = ("resource", "scale", "ids", "members")
+    __slots__ = ("resource", "declared", "scale", "ids", "members")
 
     def __init__(self, resource: Resource, instance: Instance,
-                 variables: Mapping[int, PreferenceVariable]):
-        durations = [instance.activity(aid).duration for aid in resource.members]
+                 variables: Mapping[int, PreferenceVariable], mode: BoundMode):
+        durations = [instance.by_id[aid].duration for aid in resource.members]
         ids = sorted(set(resource.members))
         rank = {aid: i for i, aid in enumerate(ids)}
         scale = math.lcm(*durations)
         self.resource = resource
+        self.declared = {BoundMode.MIN: resource.cap_min,
+                         BoundMode.EXP: resource.cap_exp}[mode]
         self.scale = scale
         self.ids = ids
         self.members = [

@@ -153,7 +153,7 @@ def post_network(
     """
     constraints = []
     for act in instance.activities:
-        arcs = [(variables[other], instance.activity(other).duration, weight)
+        arcs = [(variables[other], instance.by_id[other].duration, weight)
                 for other, weight in instance.incident[act.id]]
         if arcs:
             constraints.append(

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from itertools import accumulate, combinations
 from typing import Dict, List, Optional, Tuple
 
-from .instance import Activity, Instance, Resource, SoftPair
+from .instance import Activity, Instance, Resource, SoftPair, check_grid
 
 
 def generate(courses: int, rooms: int, occupancy_target: float, seed: int = 0,
@@ -37,6 +37,9 @@ def generate(courses: int, rooms: int, occupancy_target: float, seed: int = 0,
     ``students`` defaults to four per course.  ``courses_per_student``
     caps at the course count.  Raises ValueError when the derived horizon
     cannot physically seat all courses (occupancy demanded above 100%).
+    Raises the ``grid-too-large`` InstanceError before building anything
+    when the courses' slot grid would pass
+    :data:`softsched.instance.MAX_GRID_SLOTS`.
     """
     if courses < 1:
         raise ValueError("need at least one course")
@@ -56,6 +59,7 @@ def generate(courses: int, rooms: int, occupancy_target: float, seed: int = 0,
         raise ValueError("student count must be >= 0")
 
     horizon = max(1, round(courses / (rooms * occupancy_target)))
+    check_grid(courses * horizon)  # every course may start at every slot
     if courses > rooms * horizon:
         raise ValueError(
             f"{courses} course-slots cannot fit {rooms} rooms x {horizon} slots")

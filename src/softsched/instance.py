@@ -48,6 +48,13 @@ class InstanceError(ValueError):
         self.where = where
 
 
+def check_grid(grid: int) -> None:
+    """Refuse a total slot grid past :data:`MAX_GRID_SLOTS`."""
+    if grid > MAX_GRID_SLOTS:
+        raise InstanceError(GRID_TOO_LARGE, "instance", f"activities need {grid} "
+                            f"grid slots, more than the limit of {MAX_GRID_SLOTS}")
+
+
 @dataclass(frozen=True)
 class Activity:
     """A schedulable unit: one start variable, constant duration, enrollment count.
@@ -100,10 +107,7 @@ class Instance:
 
     def __post_init__(self):
         # (slot, cost) pairs order by slot first, so max() gives the latest start
-        grid = sum(max(a.domain, default=(-1,))[0] + 1 for a in self.activities)
-        if grid > MAX_GRID_SLOTS:
-            raise InstanceError(GRID_TOO_LARGE, "instance", f"activities need {grid} "
-                                f"grid slots, more than the limit of {MAX_GRID_SLOTS}")
+        check_grid(sum(max(a.domain, default=(-1,))[0] + 1 for a in self.activities))
 
     @cached_property
     def by_id(self) -> Dict[int, Activity]:
@@ -121,9 +125,6 @@ class Instance:
     @cached_property
     def total_weight(self) -> int:
         return sum(p.weight for p in self.pairs)
-
-    def activity(self, aid: int) -> Activity:
-        return self.by_id[aid]
 
 
 # ---------------------------------------------------------------------------

@@ -16,20 +16,21 @@ per group of cut siblings — and still hand back the best solution seen.
 
 Pruning combines the cost already committed (the penalties at assigned
 values), the cheapest-value sum over unassigned variables, and optionally
-the resource bound :func:`resource_bound`, recomputed at every node from a
-layout of each resource's static part (:func:`bound_layout`) built once per
-solve, so a node reads only live state (:func:`layout_bound`).  Hard
-capacities are counted on one :class:`softsched.cumulative.Occupancy` per
-resource: each assignment places the variable on the resources that hold
-it, an overflow fails the child, and a leaf must leave no slot under
-``cap_min``; the bound reads the same counts.  A violation limit is kept by
-propagation alone: the soft constraints charge both ends of every pair and
-fail the child whose assignment would take any activity past the limit, so
-a leaf is not checked against it.  The cheapest-value sum is not
-recomputed: every variable keeps its cheapest live value current through
-its trailed mutations, and the trail keeps the sum of those over the
-unassigned variables (``Trail.base_bound``), so the base bound costs O(1)
-per node.
+the resource bound :func:`resource_bound`, recomputed at every node from
+one :class:`softsched.cumulative.ResourceLayout` per resource built once
+per solve.  A layout holds the resource's static part, the declared row its
+mode charges included, so a node reads only live state
+(:func:`layout_bound`).  Hard capacities are counted on one
+:class:`softsched.cumulative.Occupancy` per resource: each assignment
+places the variable on the resources that hold it, an overflow fails the
+child, and a leaf must leave no slot under ``cap_min``; the bound reads the
+same counts.  A violation limit is kept by propagation alone: the soft
+constraints charge both ends of every pair and fail the child whose
+assignment would take any activity past the limit, so a leaf is not checked
+against it.  The cheapest-value sum is not recomputed: every variable keeps
+its cheapest live value current through its trailed mutations, and the
+trail keeps the sum of those over the unassigned variables
+(``Trail.base_bound``), so the base bound costs O(1) per node.
 
 A child that cannot beat the incumbent is cut before it is assigned.  When
 a choice point opens, its floor is the node cost plus the cheapest-value
@@ -61,7 +62,7 @@ or UNKNOWN without, the first of each when the search exhausted its tree
 restart is the best of its last round that found one.
 
 There is one implementation of the resource bound:
-:func:`resource_bound` builds the same layout and evaluates it once,
+:func:`resource_bound` builds the same layouts and evaluates them once,
 ``softsched.oracle.verify_bound`` checks it at the root, and its
 per-resource step comes from :mod:`softsched.cumulative`.
 """
@@ -122,16 +123,6 @@ class SolveResult:
     incumbents: int
 
 
-def _result(best: Optional[Incumbent], proven: bool, nodes: int,
-            started: float, emitted: int) -> SolveResult:
-    """The status rule; see the module docstring."""
-    if best is not None:
-        status = Status.OPTIMAL if proven else Status.FEASIBLE
-    else:
-        status = Status.INFEASIBLE if proven else Status.UNKNOWN
-    return SolveResult(status, best, nodes, time.monotonic() - started, emitted)
-
-
 ProgressSink = Callable[[Incumbent], None]
 CancelCheck = Callable[[], bool]
 
@@ -182,27 +173,9 @@ def order_values(var: PreferenceVariable) -> List[Tuple[int, int]]:
                    if pen is not None])
 
 
-BoundLayout = List[Tuple[Sequence[int], ResourceLayout]]
-
-
-def bound_layout(instance: Instance,
-                 variables: Mapping[int, PreferenceVariable],
-                 mode: BoundMode) -> BoundLayout:
-    """The static part of the resource bound, built once per solve.
-
-    Per resource of ``instance`` in declaration order: the declared
-    occupancy the mode charges (``cap_min`` in MIN mode, ``cap_exp`` in EXP
-    mode) and the :class:`softsched.cumulative.ResourceLayout` of its
-    members over ``variables``.
-    """
-    return [(r.cap_min if mode is BoundMode.MIN else r.cap_exp,
-             ResourceLayout(r, instance, variables))
-            for r in instance.resources]
-
-
-def layout_bound(layout: BoundLayout,
+def layout_bound(layouts: Sequence[ResourceLayout],
                  occupancy: Sequence[Sequence[int]]) -> Union[int, Fraction]:
-    """The resource bound of the live state, read through a :func:`bound_layout`.
+    """The resource bound of the live state, read through one layout per resource.
 
     See :func:`resource_bound`.  Each charged share, rounded down, goes into
     a carry that raises its variable's floor for the resources after it;
@@ -210,12 +183,12 @@ def layout_bound(layout: BoundLayout,
     """
     bound = 0
     carry: Dict[int, int] = {}
-    for (declared, members), occ in zip(layout, occupancy):
-        quota = [d - o for d, o in zip(declared, occ)]
+    for layout, occ in zip(layouts, occupancy):
+        quota = [d - o for d, o in zip(layout.declared, occ)]
         if max(quota, default=0) <= 0:
             continue
-        total, selected = contribution_with_quota(members, quota, carry)
-        scale = members.scale
+        total, selected = contribution_with_quota(layout, quota, carry)
+        scale = layout.scale
         bound += Fraction(total, scale)
         for aid, share in selected.items():
             if share >= scale:
@@ -240,13 +213,14 @@ def resource_bound(instance: Instance,
     cheapest-penalty sum itself, and is 0 in NONE mode.  Raises
     :class:`ResourceInfeasible` when a quota cannot be covered.
 
-    This builds the :func:`bound_layout` and evaluates it once;
-    :func:`solve` builds the layout once and calls :func:`layout_bound` at
-    every node.
+    This builds one :class:`softsched.cumulative.ResourceLayout` per
+    resource and evaluates them once; :func:`solve` builds them once and
+    calls :func:`layout_bound` at every node.
     """
     if mode is BoundMode.NONE:
         return 0
-    return layout_bound(bound_layout(instance, variables, mode), occupancy)
+    return layout_bound([ResourceLayout(r, instance, variables, mode)
+                         for r in instance.resources], occupancy)
 
 
 def solve(instance: Instance, config: SearchConfig = SearchConfig(),
@@ -275,21 +249,21 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
     trail.base_bound = sum(var.min_penalty()[1] for var in variables.values())
     constraints = post_network(instance, variables, limit=config.violation_limit)
     resources = [Occupancy(r) for r in instance.resources]
-    holds: Dict[int, List[Occupancy]] = {aid: [] for aid in variables}
+    holds: Dict[int, List[Tuple[Occupancy, int]]] = {aid: [] for aid in variables}
     for occ in resources:
         for aid in occ.resource.members:
-            holds[aid].append(occ)
+            holds[aid].append((occ, instance.by_id[aid].duration))
     ranking = rank_variables(
         variables, {aid: len(arcs) for aid, arcs in instance.incident.items()})
-    durations = {a.id: a.duration for a in instance.activities}
 
     best: Optional[Incumbent] = None
     last: Optional[Incumbent] = None  # the best of the last fuzzy round
     nodes = 0
     emitted = 0
     node_limit = config.node_limit
-    layout = (None if config.lb_mode is BoundMode.NONE
-              else bound_layout(instance, variables, config.lb_mode))
+    layouts = (None if config.lb_mode is BoundMode.NONE
+               else [ResourceLayout(r, instance, variables, config.lb_mode)
+                     for r in instance.resources])
     occupancy = [occ.counts for occ in resources]  # updated in place
 
     # One choice point per open node: (variable, untried (penalty, slot)
@@ -303,9 +277,9 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
         # choice point.
         rewind = True
         bound = trail.base_bound
-        if layout is not None:
+        if layouts is not None:
             try:
-                bound += layout_bound(layout, occupancy)
+                bound += layout_bound(layouts, occupancy)
             except ResourceInfeasible:
                 bound = None  # no completion covers the quotas
         if bound is not None and (best is None or cost + bound < best.cost):
@@ -357,8 +331,8 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
             nodes += 1
             try:
                 var.assign(slot, trail)
-                for occ in holds[var.id]:
-                    occ.place(slot, durations[var.id], trail)
+                for occ, duration in holds[var.id]:
+                    occ.place(slot, duration, trail)
             except SchedulingError:
                 rewind = True
                 continue
@@ -379,7 +353,13 @@ def solve(instance: Instance, config: SearchConfig = SearchConfig(),
             constraint.limit = limit
         last, best, cost = best, None, 0
 
-    return _result(best or last, exhausted, nodes, started, emitted)
+    # The status rule; see the module docstring.
+    best = best or last
+    if best is not None:
+        status = Status.OPTIMAL if exhausted else Status.FEASIBLE
+    else:
+        status = Status.INFEASIBLE if exhausted else Status.UNKNOWN
+    return SolveResult(status, best, nodes, time.monotonic() - started, emitted)
 
 
 #: Most steps one :func:`pigeonhole_clique` call takes before it gives up.  A

@@ -139,7 +139,7 @@ def test_c3_resource_bound_holds_at_interior_nodes(corpus):
                     if aid in fixed:
                         start = fixed[aid][0]
                         for t in range(max(start, r.t_min),
-                                       min(start + inst.activity(aid).duration,
+                                       min(start + inst.by_id[aid].duration,
                                            r.t_max + 1)):
                             occ[t - r.t_min] += 1
                 occupancy.append(occ)

@@ -16,7 +16,7 @@ from softsched.cumulative import (
     contribution_with_quota, slot_excess,
 )
 from softsched.disjunctive import post_network
-from softsched.search import bound_layout, layout_bound, resource_bound
+from softsched.search import layout_bound, resource_bound
 
 
 def make_instance(horizon, acts, resources):
@@ -100,10 +100,20 @@ def test_slot_excess_window_clamp_and_not_runnable():
     assert slot_excess(0, far, 1, 0) is None
 
 
+def test_a_layout_holds_the_row_its_mode_charges():
+    res = Resource("r", (1,), 0, 1, (0, 1), (1, 1), (1, 1))
+    inst = make_instance(2, [Activity(1, 1, 1, ((0, 0), (1, 0)))], [res])
+    variables = variables_of(inst)
+    assert ResourceLayout(res, inst, variables, BoundMode.MIN).declared == (0, 1)
+    assert ResourceLayout(res, inst, variables, BoundMode.EXP).declared == (1, 1)
+    with pytest.raises(KeyError):  # NONE charges nothing, so it has no row
+        ResourceLayout(res, inst, variables, BoundMode.NONE)
+
+
 def quota_step(res, inst, variables, table, quota):
     """``contribution_with_quota`` with each member's floor at ``table[aid]``,
     converted to fractions."""
-    layout = ResourceLayout(res, inst, variables)
+    layout = ResourceLayout(res, inst, variables, BoundMode.MIN)
     carry = {aid: floor - variables[aid].min_penalty()[1]
              for aid, floor in table.items()}
     total, selected = contribution_with_quota(layout, quota, carry)
@@ -245,7 +255,7 @@ def fraction_contribution(resource, instance, variables, table, quota, tie=1):
         for aid in resource.members:
             if variables[aid].assignment is not None:
                 continue
-            dur = instance.activity(aid).duration
+            dur = instance.by_id[aid].duration
             excess = slot_excess(t, variables[aid], dur, table[aid])
             if excess is not None:
                 ratios.append((Fraction(excess, dur), tie * aid, aid))
@@ -428,7 +438,8 @@ def test_resource_bound_matches_the_fraction_reference_at_interior_nodes():
         occupancy = [Occupancy(r) for r in inst.resources]
         durations = {a.id: a.duration for a in inst.activities}
         for mode in (BoundMode.MIN, BoundMode.EXP):
-            layout = bound_layout(inst, variables, mode)
+            layouts = [ResourceLayout(r, inst, variables, mode)
+                       for r in inst.resources]
             marks = []
             for _step in range(12):
                 free = [v for v in variables.values() if v.assignment is None]
@@ -451,7 +462,7 @@ def test_resource_bound_matches_the_fraction_reference_at_interior_nodes():
                     lambda: reference_bound(inst, variables, mode, counts))
                 assert bound_or_refusal(
                     lambda: resource_bound(inst, variables, mode, counts)) == want
-                assert bound_or_refusal(lambda: layout_bound(layout, counts)) == want
+                assert bound_or_refusal(lambda: layout_bound(layouts, counts)) == want
                 nodes += 1
                 if isinstance(want, tuple):
                     refused += 1

@@ -169,7 +169,7 @@ def test_propagation_sum_identity(data):
     trail = Trail()
     assignment = {}
     for aid in order:
-        act = inst.activity(aid)
+        act = inst.by_id[aid]
         slot = act.domain[picks[aid - 1]][0]
         variables[aid].assign(slot, trail)
         assignment[aid] = slot

@@ -1,10 +1,11 @@
 """Enrollment-model generator: determinism, shape, conservation laws."""
 
+import tracemalloc
 from math import comb
 
 import pytest
 
-from softsched import generate, parse_instance
+from softsched import InstanceError, generate, parse_instance
 from softsched.instance import serialize_instance
 
 
@@ -93,6 +94,20 @@ def test_parameter_validation():
 def test_rounding_that_cannot_seat_everyone_is_an_error():
     with pytest.raises(ValueError):
         generate(10, 3, 1.0)
+
+
+def test_an_oversize_grid_is_refused_before_it_is_built():
+    """One course over 2,000,001 slots passes the grid limit by one slot;
+    the refusal comes before any of the domain is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceError) as exc:
+            generate(1, 1, 1 / 2_000_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == "grid-too-large"
+    assert peak < 1_000_000
 
 
 def test_generated_instances_survive_the_parser():

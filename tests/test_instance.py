@@ -52,7 +52,7 @@ def test_happy_path():
     inst = parse(doc())
     assert inst.horizon == 4
     assert [a.id for a in inst.activities] == [1, 2]
-    assert inst.activity(1).domain == ((0, 0), (2, 3))
+    assert inst.by_id[1].domain == ((0, 0), (2, 3))
     assert inst.pairs == (SoftPair(1, 2, 4),)
     assert inst.resources[0].name == "rooms"
     assert inst.total_weight == 4

@@ -28,7 +28,7 @@ def brute_force(instance):
             width = r.t_max - r.t_min + 1
             occ = [0] * width
             for aid in r.members:
-                a = instance.activity(aid)
+                a = instance.by_id[aid]
                 s = assignment[aid]
                 for t in range(max(s, r.t_min), min(s + a.duration - 1, r.t_max) + 1):
                     occ[t - r.t_min] += 1
@@ -178,6 +178,23 @@ def test_node_limit_statuses():
     full = solve(inst)
     assert full.status is Status.OPTIMAL
     assert full.best.cost == brute_force(inst)
+
+
+def test_status_at_exactly_the_node_limit():
+    """A budget of exactly the nodes a search takes lets it finish proven;
+    one node fewer stops it unproven, whether it found an incumbent or not."""
+    pool = Resource("r", (1, 2, 3), 0, 1, (0, 0), (1, 1), (0, 0))
+    cramped = unit(3, 2, [], resources=[pool])  # three members, two seats
+    cases = [(generate(30, 6, 0.7, 0), Status.OPTIMAL, Status.FEASIBLE),
+             (generate(30, 6, 0.7, 2), Status.OPTIMAL, Status.FEASIBLE),
+             (cramped, Status.INFEASIBLE, Status.UNKNOWN)]
+    for inst, proven, stopped in cases:
+        for driver in (solve, solve_min_worst_violation):
+            full = driver(inst)
+            assert full.status is proven
+            for limit, status in ((full.nodes, proven), (full.nodes - 1, stopped)):
+                out = driver(inst, SearchConfig(node_limit=limit))
+                assert (out.status, out.nodes) == (status, limit)
 
 
 def test_node_limits_inside_cut_sibling_groups():
@@ -397,10 +414,10 @@ def assert_pigeonhole_witness(instance, limit, witness):
     """Unit members, pairwise heavier than ``limit``, on fewer start slots."""
     weight = {frozenset((p.a, p.b)): p.weight for p in instance.pairs}
     assert witness == sorted(set(witness))
-    assert all(instance.activity(aid).duration == 1 for aid in witness)
+    assert all(instance.by_id[aid].duration == 1 for aid in witness)
     for a, b in combinations(witness, 2):
         assert weight.get(frozenset((a, b)), 0) > limit
-    starts = {slot for aid in witness for slot, _cost in instance.activity(aid).domain}
+    starts = {slot for aid in witness for slot, _cost in instance.by_id[aid].domain}
     assert len(starts) < len(witness)
 
 
