@@ -3,9 +3,12 @@
 Exit codes for ``solve``: 0 the returned solution is proven optimal, 2 a
 solution was found but not proven optimal, 3 the instance is infeasible,
 4 a limit or interrupt fired before any solution appeared, 1 usage or
-parse errors.  An interrupt (Ctrl-C) is caught cooperatively: the search
-stops at the next node boundary and the best incumbent found so far is
-still written out.
+input errors, an unwritable ``--out`` included.  An interrupt (Ctrl-C) is
+caught cooperatively: the search stops at the next node boundary and the
+best incumbent found so far is still written out.
+
+Subcommands refuse by raising ``OSError`` or ``ValueError``; :func:`main`
+alone turns that into one ``softsched: …`` line on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -106,17 +109,13 @@ def _load_instance(path: str) -> Instance:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-        config = SearchConfig(
-            time_limit=args.time_limit,
-            node_limit=args.node_limit,
-            violation_limit=args.u_max,
-            lb_mode=BoundMode(args.lb),
-        )
-    except (OSError, InstanceError, ValueError) as exc:
-        print(f"softsched: {exc}", file=sys.stderr)
-        return 1
+    instance = _load_instance(args.instance)
+    config = SearchConfig(
+        time_limit=args.time_limit,
+        node_limit=args.node_limit,
+        violation_limit=args.u_max,
+        lb_mode=BoundMode(args.lb),
+    )
 
     interrupted = False
 
@@ -151,36 +150,24 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    try:
-        instance = generate(
-            args.courses, args.rooms, args.occupancy, args.seed,
-            students=args.students,
-            courses_per_student=args.courses_per_student,
-            popularity_exponent=args.popularity_exponent,
-            cost_chance=args.cost_chance,
-            max_cost=args.max_cost,
-        )
-    except ValueError as exc:
-        print(f"softsched: {exc}", file=sys.stderr)
-        return 1
+    instance = generate(
+        args.courses, args.rooms, args.occupancy, args.seed,
+        students=args.students,
+        courses_per_student=args.courses_per_student,
+        popularity_exponent=args.popularity_exponent,
+        cost_chance=args.cost_chance,
+        max_cost=args.max_cost,
+    )
     _write(args.out, serialize_instance(instance))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (OSError, InstanceError) as exc:
-        print(f"softsched: {exc}", file=sys.stderr)
-        return 1
+    instance = _load_instance(args.instance)
     try:
         report = verify_bound(instance, name=args.instance, cap=args.cap)
     except BoundViolation as exc:
-        print(f"softsched: BOUND VIOLATION: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"softsched: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"BOUND VIOLATION: {exc}") from exc
     if not report.feasible:
         print(f"{args.instance}: infeasible; bounds pass vacuously")
         return 0
@@ -212,37 +199,28 @@ def _cmd_report(args) -> int:
         stored_cost, optimal = doc["cost"], doc["optimal"]
     except (OSError, InstanceError, KeyError, TypeError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
-        print(f"softsched: cannot read inputs: {exc!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot read inputs: {exc!r}") from exc
     for aid in ids:
         if type(aid) is not int:  # true and 0.0 hash and compare like 1 and 0
-            print(f"softsched: solution names activity {aid!r}, "
-                  f"not an integer id", file=sys.stderr)
-            return 1
+            raise ValueError(f"solution names activity {aid!r}, "
+                             f"not an integer id")
     missing = [a.id for a in instance.activities if a.id not in assignment]
     if missing:
-        print(f"softsched: solution misses activities {missing}", file=sys.stderr)
-        return 1
+        raise ValueError(f"solution misses activities {missing}")
     unknown = [aid for aid in entries if aid not in instance.by_id]
     if unknown:
-        print(f"softsched: solution names unknown activities {unknown}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"solution names unknown activities {unknown}")
     repeated = [aid for aid, count in entries.items() if count > 1]
     if repeated:
-        print(f"softsched: solution repeats activities {repeated}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"solution repeats activities {repeated}")
     for act in instance.activities:
         start = assignment[act.id]
         if type(start) is not int:  # 1.0 and true compare equal to slot 1
-            print(f"softsched: activity {act.id} starts at {start!r}, "
-                  f"not an integer slot", file=sys.stderr)
-            return 1
+            raise ValueError(f"activity {act.id} starts at {start!r}, "
+                             f"not an integer slot")
         if not any(start == slot for slot, _cost in act.domain):
-            print(f"softsched: activity {act.id} starts at {start!r}, "
-                  f"outside its domain", file=sys.stderr)
-            return 1
+            raise ValueError(f"activity {act.id} starts at {start!r}, "
+                             f"outside its domain")
     trail = Trail()  # only collects the bumps; nothing is undone
     for res in instance.resources:
         occupancy = Occupancy(res)
@@ -251,25 +229,20 @@ def _cmd_report(args) -> int:
                 occupancy.place(assignment[aid], instance.by_id[aid].duration,
                                 trail)
         except CapacityOverflow as exc:
-            print(f"softsched: {exc}", file=sys.stderr)
-            return 1
+            raise ValueError(exc) from exc
         slot = occupancy.deficit_slot()
         if slot is not None:
-            print(f"softsched: resource {res.name!r} falls short of cap_min "
-                  f"at slot {slot}", file=sys.stderr)
-            return 1
+            raise ValueError(f"resource {res.name!r} falls short of cap_min "
+                             f"at slot {slot}")
     if type(optimal) is not bool:
-        print(f"softsched: optimal is {optimal!r}, not a boolean",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"optimal is {optimal!r}, not a boolean")
     for key, kinds, noun in (("nodes", (int,), "integer"),
                              ("incumbents", (int,), "integer"),
                              ("elapsed", (int, float), "number")):
         value = stats.get(key)
         if type(value) not in kinds or not value >= 0:  # NaN too
-            print(f"softsched: stats {key} is {value!r}, not a non-negative "
-                  f"{noun}", file=sys.stderr)
-            return 1
+            raise ValueError(f"stats {key} is {value!r}, not a non-negative "
+                             f"{noun}")
     # JSON text tells 1, 1.0 and true apart, which == does not
     fresh = build_breakdown(instance, assignment)
     cost = fresh["initial_cost_sum"] + fresh["violation_sum"]
@@ -281,9 +254,8 @@ def _cmd_report(args) -> int:
             if texts[0] != texts[1]:
                 wrong.append(f"  {key}: stored {texts[0]}, recomputed {texts[1]}")
     if wrong:
-        print("softsched: stored figures do not match the assignment:", *wrong,
-              sep="\n", file=sys.stderr)
-        return 1
+        raise ValueError("\n".join(
+            ["stored figures do not match the assignment:", *wrong]))
     worst = max((e["u"] for e in fresh["per_activity_u"]), default=0)
     print(f"{args.solution}: consistent with {args.instance}")
     print(f"  cost {cost} = initial {fresh['initial_cost_sum']}"
@@ -351,7 +323,11 @@ def _build_parser() -> _Parser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"softsched: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -36,7 +36,9 @@ def generate(courses: int, rooms: int, occupancy_target: float, seed: int = 0,
 
     ``students`` defaults to four per course.  ``courses_per_student``
     caps at the course count.  Raises ValueError when the derived horizon
-    cannot physically seat all courses (occupancy demanded above 100%).
+    cannot physically seat all courses (occupancy demanded above 100%) or
+    overflows a float, and when the popularity is so steep that fewer
+    than ``courses_per_student`` courses can ever be drawn.
     Raises the ``grid-too-large`` InstanceError before building anything
     when the courses' slot grid would pass
     :data:`softsched.instance.MAX_GRID_SLOTS`.
@@ -58,7 +60,11 @@ def generate(courses: int, rooms: int, occupancy_target: float, seed: int = 0,
     if students < 0:
         raise ValueError("student count must be >= 0")
 
-    horizon = max(1, round(courses / (rooms * occupancy_target)))
+    try:
+        horizon = max(1, round(courses / (rooms * occupancy_target)))
+    except OverflowError:
+        raise ValueError("the horizon courses / (rooms * occupancy target) "
+                         "overflows a float") from None
     check_grid(courses * horizon)  # every course may start at every slot
     if courses > rooms * horizon:
         raise ValueError(
@@ -70,6 +76,12 @@ def generate(courses: int, rooms: int, occupancy_target: float, seed: int = 0,
     popularity = [(c + 1) ** -popularity_exponent for c in range(courses)]
     cumulative = list(accumulate(popularity))
     total = cumulative[-1]
+    # bisect_left never returns a course whose running sum did not grow
+    drawable = sum(b > a for a, b in zip([0.0] + cumulative, cumulative))
+    if students and drawable < k:
+        raise ValueError(f"popularity exponent {popularity_exponent} lets only "
+                         f"{drawable} of {courses} courses be drawn, fewer "
+                         f"than the {k} each student takes")
 
     def pick_course() -> int:
         return bisect_left(cumulative, rng.random() * total)

@@ -156,6 +156,27 @@ def test_generate_subcommand(tmp_path, capsys):
     assert "cannot fit" in capsys.readouterr().err
 
 
+GENERATE = ["generate", "--courses", "5", "--rooms", "2", "--occupancy", "0.7"]
+
+
+@pytest.mark.parametrize("argv", [
+    GENERATE + ["--out", "{missing}/i.json"],
+    ["solve", "{easy}", "--out", "{missing}/s.json"],
+    ["generate", "--courses", "1", "--rooms", "1", "--occupancy", "1e-320"],
+    ["generate", "--courses", "5", "--rooms", str(10 ** 400),
+     "--occupancy", "0.7"],
+    GENERATE + ["--popularity-exponent", "60"],
+], ids=["generate-out", "solve-out", "subnormal-occupancy", "huge-rooms",
+        "steep-popularity"])
+def test_a_refusal_is_one_line_and_exit_1(easy, tmp_path, capsys, argv):
+    argv = [arg.format(easy=easy, missing=tmp_path / "missing") for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("softsched: ")
+
+
 def test_verify_subcommand(easy, tmp_path, capsys):
     assert main(["verify", easy, "--fuzzy"]) == 0
     text = capsys.readouterr().out

@@ -110,6 +110,28 @@ def test_an_oversize_grid_is_refused_before_it_is_built():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("courses, rooms, occupancy", [
+    (1, 1, 1e-320), (5, 10 ** 400, 0.7), (10 ** 400, 1, 1.0)],
+    ids=["subnormal-occupancy", "huge-rooms", "huge-courses"])
+def test_a_horizon_that_overflows_a_float_is_a_value_error(courses, rooms,
+                                                          occupancy):
+    with pytest.raises(ValueError, match="overflows a float"):
+        generate(courses, rooms, occupancy)
+
+
+def test_a_popularity_too_steep_to_fill_a_roster_is_refused():
+    """At exponent 60 every running popularity sum after course 0 rounds
+    to 1.0, so only course 0 can be drawn and a three-course roster would
+    never fill; one-course rosters and an empty student body still work."""
+    with pytest.raises(ValueError, match="only 1 of 5 courses"):
+        generate(5, 2, 0.7, 0, popularity_exponent=60)
+    single = generate(5, 2, 0.7, 0, popularity_exponent=60,
+                      courses_per_student=1)
+    assert [a.enrollment for a in single.activities] == [20, 0, 0, 0, 0]
+    empty = generate(5, 2, 0.7, 0, popularity_exponent=60, students=0)
+    assert empty.total_weight == 0
+
+
 def test_generated_instances_survive_the_parser():
     for seed in range(5):
         inst = generate(25, 5, 0.7, seed=seed)
